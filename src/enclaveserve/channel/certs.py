@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -25,6 +26,9 @@ from .errors import HandshakeFailure
 _MAGIC = b"cert-v1"
 SIGNATURE_LEN = 64
 DEFAULT_VALIDITY_SECONDS = 7 * 86400.0
+# Signed only to derive the ticket key: no certificate body (cert-v1...) or
+# handshake transcript (enclaveserve transcript...) starts with it.
+_TICKET_KEY_LABEL = b"enclaveserve session-ticket key v1"
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,15 @@ class ServicePki:
     def __post_init__(self) -> None:
         if self.private_key.public_bytes() != self.certificate.public_key:
             raise ValueError("private key does not match certificate public key")
+
+    @cached_property
+    def ticket_key(self) -> bytes:
+        """AES key sealing this service's resumption tickets. Ed25519
+        signatures are deterministic (RFC 8032), so every replica holding
+        the PKI derives the same key; neither it nor the signature it comes
+        from ever goes on the wire."""
+        signature = self.private_key.sign(_TICKET_KEY_LABEL)
+        return crypto.hkdf(signature, salt=b"", info=b"ticket key")
 
 
 def generate_pki(

@@ -31,6 +31,7 @@ class Session:
     transcript_hash: bytes
     send_seq: int = 0
     recv_seq: int = 0
+    resumed: bool = False  # keys came from a PSK ticket rather than a certificate
 
     def _aad(self, seq: int) -> bytes:
         return b"record" + struct.pack(">Q", seq) + self.transcript_hash

@@ -34,6 +34,10 @@ class SocketTransport:
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # Nagle plus delayed ACK would hold a small frame (a request
+            # after the Finished) back for tens of milliseconds
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send_frame(self, payload: bytes) -> None:
         self._sock.sendall(encode_frame(payload))

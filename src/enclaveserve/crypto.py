@@ -14,10 +14,7 @@ import struct
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -40,16 +37,12 @@ def derived_rng(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def random_key(rng: random.Random) -> bytes:
-    return rng.randbytes(KEY_LEN)
-
-
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
-    return hmac.new(key, data, hashlib.sha256).digest()
+    return hmac.digest(key, data, "sha256")
 
 
 def hmac_verify(key: bytes, data: bytes, tag: bytes) -> bool:
@@ -60,10 +53,6 @@ def hkdf(secret: bytes, *, salt: bytes, info: bytes, length: int = KEY_LEN) -> b
     return HKDF(
         algorithm=hashes.SHA256(), length=length, salt=salt, info=info
     ).derive(secret)
-
-
-def new_signing_key(rng: random.Random) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(rng.randbytes(KEY_LEN))
 
 
 def new_exchange_key(rng: random.Random) -> X25519PrivateKey:

@@ -8,8 +8,9 @@ derived from the scenario seed, so a (scenario, seed) pair replays to the
 byte.
 
 Each request is one L4 connection: the frontend picks a backend, the
-client handshakes against the service certificate, and encrypted records
-carry the payload both ways. The frontend only moves ciphertext; session
+client handshakes against the service certificate (a full handshake on
+first contact, then resumed with the ticket it got, at any replica), and
+encrypted records carry the payload both ways. The frontend only moves ciphertext; session
 keys live at the client and inside the replica.
 """
 
@@ -23,7 +24,7 @@ from pathlib import Path
 from .. import crypto
 from ..aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
 from ..aecs.store import MemoryStore, UntrustedStore
-from ..channel.handshake import handshake_in_process
+from ..channel.handshake import TicketCache, handshake_in_process
 from ..channel.record import Session, open_record, seal_record
 from ..clock import EventLoop
 from ..control.autoscale import Autoscaler, ScalePolicy
@@ -124,6 +125,10 @@ class VirtualRunner:
         self._servers: dict[str, _ReplicaServer] = {}
         self._telemetry: dict[str, NodeTelemetry] = {}
         self.telemetry_gaps = 0
+        # the client's resumption tickets, and how each request's handshake went
+        self.tickets = TicketCache()
+        self.handshakes_full = 0
+        self.handshakes_resumed = 0
         self.vs: VirtualService | None = None
         self.controller: SloController | None = None
         self.autoscaler: Autoscaler | None = None
@@ -355,8 +360,18 @@ class VirtualRunner:
         self.vs.dispatch(endpoint)
         replica: ModelServerReplica = endpoint.replica
         client_session, server_session = handshake_in_process(
-            self.expected_cert, replica.pki, self.crypto_rng, self.crypto_rng, now=now
+            self.expected_cert,
+            replica.pki,
+            self.crypto_rng,
+            self.crypto_rng,
+            now=now,
+            tickets=self.tickets,
+            capture=self.traffic_capture if self.config.capture_traffic else None,
         )
+        if client_session.resumed:
+            self.handshakes_resumed += 1
+        else:
+            self.handshakes_full += 1
         payload = request_payload(spec, index)
         wire_record = seal_record(client_session, payload)
         if self.config.capture_traffic:

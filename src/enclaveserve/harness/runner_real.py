@@ -2,8 +2,9 @@
 
 Wall-clock counterpart of the virtual runner, intended for smoke runs and
 sanity checks rather than acceptance numbers: replicas listen on loopback
-TCP ports, each request is one connection carrying the full handshake and
-encrypted records, and service time is spent sleeping. Timing is therefore
+TCP ports, each request is one connection carrying a handshake (resumed
+from the runner's ticket cache once it holds a ticket) and encrypted
+records, and service time is spent sleeping. Timing is therefore
 subject to scheduler jitter and runs are not reproducible.
 """
 
@@ -19,7 +20,7 @@ from .. import crypto
 from ..aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
 from ..aecs.store import MemoryStore, UntrustedStore
 from ..channel.errors import SecureChannelError
-from ..channel.handshake import client_handshake, server_handshake
+from ..channel.handshake import TicketCache, client_handshake, server_handshake
 from ..channel.record import open_record, seal_record
 from ..channel.transport import SocketTransport
 from ..clock import RealClock
@@ -75,7 +76,7 @@ class _ReplicaListener:
             with conn:
                 transport = SocketTransport(conn)
                 session = server_handshake(
-                    transport, self.replica.pki, self.runner.server_rng()
+                    transport, self.replica.pki, self.runner.server_rng(), now=clock.now()
                 )
                 payload = open_record(session, transport.recv_frame(10.0))
                 with self.semaphore:
@@ -105,6 +106,10 @@ class RealRunner:
         self.service_rows: list[str] = []
         self._rng_lock = threading.Lock()
         self._crypto_rng = crypto.derived_rng(config.seed, "session-crypto")
+        self.tickets = TicketCache()
+        self.handshakes_full = 0
+        self.handshakes_resumed = 0
+        self._count_lock = threading.Lock()
         self.listeners: dict[str, _ReplicaListener] = {}
         self.vs: VirtualService | None = None
         self.controller: SloController | None = None
@@ -262,8 +267,18 @@ class RealRunner:
             with socket.create_connection(("127.0.0.1", listener.port), timeout=spec.timeout_s) as sock:
                 transport = SocketTransport(sock)
                 session = client_handshake(
-                    transport, self.expected_cert, self.server_rng(), timeout=spec.timeout_s
+                    transport,
+                    self.expected_cert,
+                    self.server_rng(),
+                    now=self.clock.now(),
+                    tickets=self.tickets,
+                    timeout=spec.timeout_s,
                 )
+                with self._count_lock:
+                    if session.resumed:
+                        self.handshakes_resumed += 1
+                    else:
+                        self.handshakes_full += 1
                 transport.send_frame(seal_record(session, request_payload(spec, index)))
                 response = open_record(session, transport.recv_frame(spec.timeout_s))
                 decode_inference_response(response)

@@ -176,7 +176,7 @@ def serve_connection(
     """Blocking per-connection server loop: handshake, then request records
     in, response records out, sleeping each request's service time."""
     try:
-        session = server_handshake(transport, replica.pki, rng)
+        session = server_handshake(transport, replica.pki, rng, now=clock.now())
         served = 0
         while max_requests is None or served < max_requests:
             payload = record.open_record(session, transport.recv_frame(10.0))

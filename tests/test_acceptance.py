@@ -315,8 +315,18 @@ def test_criterion_7_security_invariants(tmp_path):
     assert runner.vs is not None
     for endpoint in runner.vs.endpoints():
         needles.append(endpoint.replica.pki.private_key.private_bytes("audit"))
+        needles.append(endpoint.replica.pki.ticket_key)
+    held = runner.tickets.lookup(runner.expected_cert)
+    assert held is not None
+    needles.append(held.psk)
     haystacks = list(runner.store.dump().values()) + runner.traffic_capture
     assert len(runner.traffic_capture) > 1000
+    # the capture carries the handshakes, and all but the first resumed:
+    # client hellos carrying the ticket, server hellos answering "hs1r"
+    assert runner.handshakes_full == 1 and runner.handshakes_resumed > 0
+    offers = [b for b in runner.traffic_capture if b.startswith(b"hs1c") and held.ticket in b]
+    resumed = [blob for blob in runner.traffic_capture if blob.startswith(b"hs1r")]
+    assert len(offers) == len(resumed) == runner.handshakes_resumed
     for needle in needles:
         assert all(needle not in blob for blob in haystacks)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import socket
+import sys
 import threading
 
 import pytest
@@ -20,6 +21,8 @@ from enclaveserve.channel import (
     SecureChannelError,
     ServerHandshake,
     SignatureInvalid,
+    Ticket,
+    TicketCache,
     client_handshake,
     generate_pki,
     handshake_in_process,
@@ -142,34 +145,186 @@ def test_wrong_finished_mac_rejected():
 
 
 def test_any_single_byte_handshake_mutation_rejected():
-    # tamper completeness across all three flights, random positions
+    # tamper completeness across all three flights, random positions, for
+    # full flights and for resumed ones
     rng = random.Random(2024)
     pki = fresh_pki()
-    for _ in range(200):
-        flight = rng.randrange(3)
-        client = ClientHandshake(pki.certificate, random.Random(rng.random()))
-        server = ServerHandshake(pki, random.Random(rng.random()))
-        with pytest.raises(SecureChannelError):
+    plain_len = len(ClientHandshake(pki.certificate, rng).hello())
+    for tickets in (None, _primed_tickets(pki)):
+        for _ in range(200):
+            flight = rng.randrange(3)
+            client = ClientHandshake(pki.certificate, random.Random(rng.random()), tickets=tickets)
+            server = ServerHandshake(pki, random.Random(rng.random()))
             hello = client.hello()
-            if flight == 0:
-                hello = _flip(hello, rng)
-            server_hello = server.respond(hello)
-            if flight == 1:
-                server_hello = _flip(server_hello, rng)
-            finished = client.finish(server_hello)
-            if flight == 2:
-                finished = _flip(finished, rng)
-            server.complete(finished)
-            # an undetected mutation must still break key agreement
-            if client.session().send_key == server.session().recv_key:
-                pytest.fail("mutation survived the handshake")
-            raise SecureChannelError("keys diverged")
+            assert (len(hello) > plain_len) == (tickets is not None)
+            with pytest.raises(SecureChannelError):
+                if flight == 0:
+                    hello = _flip(hello, rng)
+                server_hello = server.respond(hello)
+                if flight == 1:
+                    server_hello = _flip(server_hello, rng)
+                finished = client.finish(server_hello)
+                if flight == 2:
+                    finished = _flip(finished, rng)
+                server.complete(finished)
+                # an undetected mutation must still break key agreement
+                if client.session().send_key == server.session().recv_key:
+                    pytest.fail("mutation survived the handshake")
+                raise SecureChannelError("keys diverged")
 
 
 def _flip(message: bytes, rng: random.Random) -> bytes:
     data = bytearray(message)
     data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
     return bytes(data)
+
+
+# -- resumption ----------------------------------------------------------------------
+
+
+def _primed_tickets(pki) -> TicketCache:
+    """A client's ticket cache after one full handshake with `pki`."""
+    tickets = TicketCache()
+    client, _ = handshake_in_process(
+        pki.certificate, pki, random.Random(70), random.Random(71), tickets=tickets
+    )
+    assert not client.resumed
+    return tickets
+
+
+def test_resumed_handshake_agrees_without_certificate_or_signature():
+    pki = fresh_pki()
+    tickets = _primed_tickets(pki)
+    capture: list[bytes] = []
+    client, server = handshake_in_process(
+        pki.certificate, pki, random.Random(72), random.Random(73),
+        tickets=tickets, capture=capture,
+    )
+    assert client.resumed and server.resumed
+    assert client.send_key == server.recv_key
+    assert client.recv_key == server.send_key
+    assert client.transcript_hash == server.transcript_hash
+    hello, server_hello, _finished = capture
+    assert tickets.lookup(pki.certificate).ticket in hello
+    # magic, random, X25519 share and the server-finished MAC: nothing else
+    assert len(server_hello) == 4 + 32 + 32 + 32
+    assert open_record(server, seal_record(client, b"resumed")) == b"resumed"
+
+
+def test_every_replica_of_a_pki_resumes_the_others_tickets():
+    # two separately held copies of one PKI, as the keystore provisions replicas
+    issuer, other_replica = fresh_pki(), fresh_pki()
+    assert issuer is not other_replica
+    assert issuer.ticket_key == other_replica.ticket_key != fresh_pki(2).ticket_key
+    tickets = _primed_tickets(issuer)
+    client, server = handshake_in_process(
+        other_replica.certificate, other_replica, random.Random(74), random.Random(75),
+        tickets=tickets,
+    )
+    assert client.resumed and client.send_key == server.recv_key
+
+
+def test_ticket_from_another_pki_falls_back_to_full_handshake():
+    old, new = fresh_pki(1), fresh_pki(2)
+    tickets = _primed_tickets(old)
+    # the service's PKI was replaced while the client still holds the old ticket
+    tickets.store(new.certificate, tickets.lookup(old.certificate))
+    client, server = handshake_in_process(
+        new.certificate, new, random.Random(76), random.Random(77), tickets=tickets
+    )
+    assert not client.resumed and not server.resumed
+    assert client.send_key == server.recv_key
+    # the fallback left a ticket the new PKI resumes
+    again, _ = handshake_in_process(
+        new.certificate, new, random.Random(78), random.Random(79), tickets=tickets
+    )
+    assert again.resumed
+
+
+def test_client_with_a_ticket_pointed_at_the_wrong_server_gets_certificate_mismatch():
+    pki, other = fresh_pki(1), fresh_pki(2)
+    tickets = _primed_tickets(pki)
+    with pytest.raises(CertificateMismatch):
+        handshake_in_process(
+            pki.certificate, other, random.Random(80), random.Random(81), tickets=tickets
+        )
+
+
+def test_tampered_ticket_or_binder_never_yields_agreed_keys():
+    pki = fresh_pki()
+    tickets = _primed_tickets(pki)
+    rng = random.Random(82)
+    hello_len = len(ClientHandshake(pki.certificate, rng, tickets=tickets).hello())
+    ticket_start = hello_len - 32 - len(tickets.lookup(pki.certificate).ticket)
+    for position in range(ticket_start, hello_len):  # every byte of ticket and binder
+        client = ClientHandshake(pki.certificate, random.Random(position), tickets=tickets)
+        server = ServerHandshake(pki, random.Random(-position))
+        hello = bytearray(client.hello())
+        hello[position] ^= 1 << rng.randrange(8)
+        # a bad binder aborts at the server; a ticket it cannot open makes it
+        # fall back, and its signature covers the tampered hello
+        with pytest.raises(SecureChannelError):
+            client.finish(server.respond(bytes(hello)))
+    # a client holding the right ticket with the wrong PSK fails the binder
+    held = tickets.lookup(pki.certificate)
+    tickets.store(pki.certificate, Ticket(held.ticket, bytes(32)))
+    with pytest.raises(HandshakeFailure):
+        handshake_in_process(
+            pki.certificate, pki, random.Random(83), random.Random(84), tickets=tickets
+        )
+
+
+def test_no_ticket_offered_or_honoured_past_not_after():
+    pki = fresh_pki()
+    tickets = _primed_tickets(pki)
+    late = pki.certificate.not_after + 1.0
+    assert tickets.lookup(pki.certificate, pki.certificate.not_after) is not None
+    assert tickets.lookup(pki.certificate, late) is None
+    plain_hello = ClientHandshake(pki.certificate, random.Random(85)).hello()
+    late_client = ClientHandshake(pki.certificate, random.Random(86), now=late, tickets=tickets)
+    assert len(late_client.hello()) == len(plain_hello)
+    # a server past not_after answers a ticket with the full, expired, handshake
+    offering = ClientHandshake(pki.certificate, random.Random(87), tickets=tickets)
+    server = ServerHandshake(pki, random.Random(88), now=late)
+    assert pki.certificate.encode() in server.respond(offering.hello())
+    with pytest.raises(HandshakeFailure):
+        handshake_in_process(
+            pki.certificate, pki, random.Random(89), random.Random(90), now=late, tickets=tickets
+        )
+
+
+def test_shared_ticket_cache_under_concurrent_handshakes():
+    # one client's cache used from many threads, as the real-clock runner does
+    pki = fresh_pki()
+    tickets = TicketCache()
+    sessions: list[tuple] = []
+    failures: list[Exception] = []
+
+    def connect(worker: int) -> None:
+        try:
+            for i in range(20):
+                sessions.append(handshake_in_process(
+                    pki.certificate, pki, random.Random(worker * 100 + i),
+                    random.Random(-worker * 100 - i), tickets=tickets,
+                ))
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=connect, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and failures == []
+    assert len(sessions) == 120
+    assert all(client.send_key == server.recv_key for client, server in sessions)
+    # only a thread's first handshake can find the cache still empty
+    assert sum(client.resumed for client, _ in sessions) >= 120 - 6
 
 
 # -- record layer --------------------------------------------------------------------
@@ -279,6 +434,16 @@ def test_handshake_over_real_socketpair():
     assert open_record(result["session"], seal_record(client, b"sock")) == b"sock"
     left.close()
     right.close()
+
+
+def test_socket_transport_sets_tcp_nodelay():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with socket.create_connection(listener.getsockname()) as client:
+            server, _ = listener.accept()
+            with server:
+                for sock in (client, server):
+                    SocketTransport(sock)
+                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
 
 def test_recv_timeout_raises():

@@ -20,7 +20,6 @@ from enclaveserve.harness import (
     load_scenario,
     percentile,
     run_scenario,
-    run_scenario_real,
 )
 from enclaveserve.harness.report import (
     load_latencies,
@@ -28,6 +27,7 @@ from enclaveserve.harness.report import (
     summarize_dir,
 )
 from enclaveserve.harness.runner import VirtualRunner
+from enclaveserve.harness.runner_real import RealRunner
 from enclaveserve.harness.scenario import (
     InterferenceSettings,
     WorkloadSettings,
@@ -245,6 +245,15 @@ def test_open_loop_send_times_match_generated_arrivals():
     assert [r.send_ts for r in report.records] == generate_arrivals(spec)
 
 
+def test_one_full_handshake_then_resumption_on_the_virtual_clock():
+    # every replica shares the service PKI, so the first request's ticket
+    # resumes at all of them
+    runner = VirtualRunner(small_scenario(algorithm="sgx_aware", interference="high"))
+    report = runner.run()
+    assert runner.handshakes_full == 1
+    assert runner.handshakes_full + runner.handshakes_resumed == report.sent - report.rejected
+
+
 def test_connection_counters_drain_to_zero():
     runner = VirtualRunner(small_scenario(interference="high"))
     runner.run()
@@ -420,9 +429,13 @@ def test_real_clock_smoke():
     config = dataclasses.replace(
         config, workload=WorkloadSettings(rate_per_s=12.0, timeout_s=5.0)
     )
-    report = run_scenario_real(config)
+    runner = RealRunner(config)
+    report = runner.run()
     assert report.sent > 0
     assert report.completed > 0
+    assert runner.handshakes_full >= 1 and runner.handshakes_resumed >= 1
+    assert report.completed <= runner.handshakes_full + runner.handshakes_resumed
+    assert runner.handshakes_full + runner.handshakes_resumed <= report.sent - report.rejected
     assert (
         report.sent
         == report.completed + report.timed_out + report.rejected + report.in_flight_at_cutoff

@@ -54,9 +54,6 @@ class EventLoop(Clock):
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         self.call_at(self._now + delay, fn)
 
-    def pending(self) -> int:
-        return len(self._heap)
-
     def run(self, until: float | None = None) -> None:
         """Fire events in order; stop when the heap drains or `until` passes.
 

@@ -79,7 +79,7 @@ class SloController:
         self.policy = policy
         self.vs = vs
         self._streaks: dict[str, int] = {}
-        self.missing_cycles = 0
+        self.missing_cycles = 0  # cycles in which some node's sample was missing
 
     def step(
         self,
@@ -95,13 +95,14 @@ class SloController:
         """
         actions: list[WeightAction] = []
         threshold = self.policy.trigger_threshold
+        missing = False
         for ep in self.vs.endpoints():
             replica = ep.replica
             node_id = replica.node.node_id
             own_enclave = replica.enclave.spec.enclave_id
             obs = observations.get(node_id)
             if obs is None or obs.throughput is None:
-                self.missing_cycles += 1
+                missing = True
                 self._streaks[ep.endpoint_id] = 0
                 continue
             if obs.throughput > threshold:
@@ -113,6 +114,8 @@ class SloController:
                 actions.append(WeightAction(ep.endpoint_id, 0, "paging-above-boundary"))
             elif ep.weight == 0 and obs.interference_clear(own_enclave):
                 actions.append(WeightAction(ep.endpoint_id, 1, "interference-clear"))
+        if missing:
+            self.missing_cycles += 1
         if apply:
             for action in actions:
                 self.vs.set_weight(action.endpoint_id, action.weight, ts=now, reason=action.reason)

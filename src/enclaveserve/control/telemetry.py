@@ -51,7 +51,7 @@ class EpcSample:
 def collect(node: Node) -> EpcSample:
     """One consistent snapshot of a node's EPC state, timestamped by the
     node's clock."""
-    if getattr(node, "unreachable", False):
+    if node.unreachable:
         raise NodeUnreachable(node.node_id)
     state = node.paging_state()
     enclaves = tuple(

@@ -1,5 +1,11 @@
 """Scenario execution.
 
+`ClusterRunner` is what both clocks share: the cluster build (nodes,
+keystore replicas, service PKI, frontend, model replicas, SLO controller,
+autoscaler and reconciler), the interference windows, and the control tick
+from node telemetry to the controller and autoscaler. A runner for one
+clock adds only its clock driver and its request path.
+
 The virtual runner drives everything from one discrete-event loop: request
 arrivals, replica service completions, request timeouts, telemetry ticks,
 controller actuations, and scripted interference, all on the virtual
@@ -17,16 +23,19 @@ keys live at the client and inside the replica.
 from __future__ import annotations
 
 import tempfile
+import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .. import crypto
 from ..aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
 from ..aecs.store import MemoryStore, UntrustedStore
 from ..channel.handshake import TicketCache, handshake_in_process
 from ..channel.record import Session, open_record, seal_record
-from ..clock import EventLoop
+from ..clock import Clock, EventLoop
 from ..control.autoscale import Autoscaler, ScalePolicy
 from ..control.errors import NodeUnreachable
 from ..control.reconcile import Reconciler
@@ -60,12 +69,268 @@ AECS_ENCLAVE_REQUESTED = 16 * MIB
 AECS_ENCLAVE_WORKING_SET = 8 * MIB
 
 
+def _terminate(node: Node, enclave_id: str) -> None:
+    handle = node.enclave_handle(enclave_id)
+    if handle is not None:
+        node.terminate_enclave(handle)
+
+
+class ClusterRunner:
+    """One scenario's cluster and its control loop, on any clock.
+
+    A subclass supplies the clock: `_schedule()`, the set-up after the
+    cluster build (it calls its own module's `generate_arrivals` and returns
+    the workload), and `_drive(spec)`, the run itself. It extends
+    `_make_replica` to serve each replica it starts.
+    """
+
+    def __init__(self, config: ScenarioConfig, clock: Clock, store: UntrustedStore | None) -> None:
+        self.config = config
+        self.profile: ModelProfile = config.profile
+        self.clock = clock
+        self.store = store if store is not None else MemoryStore()
+        self.recorder = Recorder()
+        self.epc_rows: list[str] = []
+        self.service_rows: list[str] = []
+        self.traffic_capture: list[bytes] = []
+        self._capture = self.traffic_capture if config.capture_traffic else None
+        self.crypto_rng = crypto.derived_rng(config.seed, "session-crypto")
+        self.interval = config.slo.sample_interval_s if config.slo else 1.0
+        self._telemetry: dict[str, NodeTelemetry] = {}
+        self.telemetry_gaps = 0
+        # the client's resumption tickets, and how each request's handshake went
+        self.tickets = TicketCache()
+        self.handshakes_full = 0
+        self.handshakes_resumed = 0
+        self._count_lock = threading.Lock()
+        frontend_algorithm = "sed" if config.algorithm == "sgx_aware" else config.algorithm
+        self.vs = VirtualService(config.service_id, frontend_algorithm)
+        self.controller: SloController | None = None
+        self.autoscaler: Autoscaler | None = None
+        self.aecs_replicas: list[AecsReplica] = []
+
+    # -- topology -----------------------------------------------------------------
+
+    def _build_cluster(self, sealed_root: Path) -> None:
+        config = self.config
+        node_rng = crypto.derived_rng(config.seed, "node-keys")
+        self.substrate = Substrate(self.clock)
+        for node_config in config.nodes:
+            self.substrate.add_node(
+                NodeSpec(
+                    node_id=node_config.node_id,
+                    root_seal_key=node_rng.randbytes(32),
+                    platform_attestation_key=node_rng.randbytes(32),
+                    epc_usable_bytes=node_config.epc_mib * MIB,
+                    cpu_cores=node_config.cores,
+                ),
+                t_ref=config.t_ref_pages_per_s,
+            )
+            self._telemetry[node_config.node_id] = NodeTelemetry(node_config.node_id)
+
+        deployment = AecsDeployment(
+            measurement=AECS_MEASUREMENT, registry=self.substrate.registry, store=self.store
+        )
+        for placement in config.aecs_placements:
+            node = self.substrate.node(placement.node_id)
+            enclave = node.launch_enclave(
+                EnclaveSpec(
+                    enclave_id=f"aecs/{placement.replica_id}",
+                    measurement=AECS_MEASUREMENT,
+                    requested_epc_bytes=AECS_ENCLAVE_REQUESTED,
+                    working_set_bytes=AECS_ENCLAVE_WORKING_SET,
+                    page_access_rate=0.0,
+                    system_enclave=True,
+                )
+            )
+            replica = AecsReplica(
+                replica_id=placement.replica_id,
+                enclave=enclave,
+                deployment=deployment,
+                sealed_path=sealed_root / f"{placement.replica_id}.sealed",
+                rng=crypto.derived_rng(config.seed, f"aecs:{placement.replica_id}"),
+                clock=self.clock,
+            )
+            replica.bootstrap()
+            self.aecs_replicas.append(replica)
+
+        self.aecs_client = self.aecs_replicas[0].client(capture=self._capture)
+        self.aecs_client.create_service_pki(config.service_id, self.profile.measurement())
+        self.expected_cert = self.aecs_client.get_certificate(config.service_id)
+
+        # the placement list is the pool and the reconciler owns membership:
+        # all of the pool, or the autoscaler's minimum to start from
+        self.reconciler = Reconciler(
+            config.service_id,
+            self.vs,
+            placements=[(p.replica_id, p.node_id) for p in config.replica_placements],
+            starter=self._make_replica,
+        )
+        autoscale = config.autoscale
+        initial = autoscale.min_replicas if autoscale.enabled else len(config.replica_placements)
+        self.reconciler.step(self.clock.now(), initial)
+
+        if config.algorithm == "sgx_aware":
+            assert config.slo is not None
+            policy = SloPolicy(
+                service_id=config.service_id,
+                slo_p99=self.profile.slo_s,
+                boundary_pages_per_s=config.slo.boundary_pages_per_s,
+                threshold_fraction=config.slo.theta,
+                consecutive_cycles=config.slo.consecutive_cycles,
+                sample_interval=config.slo.sample_interval_s,
+            )
+            self.controller = SloController(policy, self.vs)
+
+        if autoscale.enabled:
+            self.autoscaler = Autoscaler(
+                ScalePolicy(
+                    service_id=config.service_id,
+                    target_utilization=autoscale.target_utilization,
+                    min_replicas=autoscale.min_replicas,
+                    max_replicas=autoscale.max_replicas,
+                    cooldown=autoscale.cooldown_s,
+                )
+            )
+
+    def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
+        return start_replica(
+            service_id=self.config.service_id,
+            replica_id=replica_id,
+            aecs_client=self.aecs_client,
+            node=self.substrate.node(node_id),
+            enclave_spec=self.profile.enclave_spec(f"{self.config.service_id}/{replica_id}"),
+            base_inference_time=self.profile.base_time_s,
+            rng=crypto.derived_rng(self.config.seed, f"replica:{replica_id}"),
+            parallelism=self.config.parallelism,
+        )
+
+    # -- scripted interference -------------------------------------------------------
+
+    def _interference(self) -> list[tuple[float, Callable[[], object]]]:
+        """(when, action) for the start and the end of every interference
+        window, in script order."""
+        events: list[tuple[float, Callable[[], object]]] = []
+        for script_index, script in enumerate(self.config.interference):
+            node = self.substrate.node(script.node_id)
+            for window_index, (start, end) in enumerate(script.windows):
+                spec = EnclaveSpec(
+                    enclave_id=f"stress-{script.node_id}-{script_index}-{window_index}",
+                    measurement=INTERFERENCE_MEASUREMENT,
+                    requested_epc_bytes=script.epc_mib * MIB,
+                    # the batch task keeps refreshing its whole allocation
+                    working_set_bytes=script.epc_mib * MIB,
+                    page_access_rate=script.rate_pages_per_s,
+                )
+                events.append((start, partial(node.launch_enclave, spec)))
+                events.append((end, partial(_terminate, node, spec.enclave_id)))
+        return events
+
+    # -- telemetry / control tick ------------------------------------------------------
+
+    def _tick(self) -> None:
+        now = self.clock.now()
+        observations: dict[str, NodeObservation] = {}
+        for node in self.substrate.nodes():
+            try:
+                sample = collect(node)
+            except NodeUnreachable:
+                # a gap this cycle: the controller must not act on stale data
+                self.telemetry_gaps += 1
+                observations[node.node_id] = NodeObservation(throughput=None)
+                continue
+            self._telemetry[node.node_id].add(sample)
+            self.epc_rows.append(epc_csv_row(sample))
+            observations[node.node_id] = observation_from_samples(
+                self._telemetry[node.node_id].window(2)
+            )
+
+        if self.controller is not None:
+            self.controller.step(observations, now)
+
+        in_service_utils: list[float] = []
+        for endpoint in self.vs.endpoints():
+            util = replica_cpu_utilization(endpoint.replica, window=self.interval, now=now)
+            self.service_rows.append(
+                service_csv_row(
+                    now,
+                    self.config.service_id,
+                    endpoint.endpoint_id,
+                    endpoint.weight,
+                    endpoint.active_connections,
+                    util,
+                )
+            )
+            if endpoint.weight == 1:
+                in_service_utils.append(util)
+
+        if self.autoscaler is not None:
+            desired = self.autoscaler.step(now, len(self.vs.endpoints()), in_service_utils)
+            self.reconciler.step(now, desired)
+
+    # -- requests --------------------------------------------------------------------
+
+    def _workload(self) -> WorkloadSpec:
+        return WorkloadSpec(
+            service_id=self.config.service_id,
+            rate_per_s=self.config.workload.rate_per_s,
+            duration_s=self.config.duration_s,
+            rng_seed=self.config.seed,
+            payload_bytes=self.config.workload.payload_bytes,
+            timeout_s=self.config.workload.timeout_s,
+        )
+
+    def _pick(self, spec: WorkloadSpec, index: int, now: float) -> Endpoint | None:
+        """Count request `index` as sent and dispatch it to a backend; with
+        no backend eligible, record it rejected and return None."""
+        self.recorder.count_send()
+        try:
+            endpoint = self.vs.pick_endpoint()
+        except NoEligibleEndpoint:
+            self.recorder.record(
+                RequestRecord(index, now, now, "", spec.timeout_s, STATUS_REJECTED)
+            )
+            return None
+        self.vs.dispatch(endpoint)
+        return endpoint
+
+    def _count_handshake(self, client_session: Session) -> None:
+        with self._count_lock:
+            if client_session.resumed:
+                self.handshakes_resumed += 1
+            else:
+                self.handshakes_full += 1
+
+    # -- entry point -------------------------------------------------------------------
+
+    def run(self) -> RunReport:
+        with tempfile.TemporaryDirectory(prefix="enclaveserve-sealed-") as sealed_root:
+            try:
+                self._build_cluster(Path(sealed_root))
+                spec = self._schedule()
+            except Exception as exc:
+                raise ScenarioFailed(f"scenario setup failed: {exc}") from exc
+            self._drive(spec)
+        return RunReport(
+            scenario=self.config.name,
+            seed=self.config.seed,
+            model=self.config.model,
+            algorithm=self.config.algorithm,
+            duration_s=self.config.duration_s,
+            slo_s=self.profile.slo_s,
+            records=self.recorder.records(),
+            sent=self.recorder.sent,
+            weight_events=list(self.vs.weight_log),
+            epc_rows=list(self.epc_rows),
+            service_rows=list(self.service_rows),
+        )
+
+
 @dataclass
 class _Request:
     index: int
     send_ts: float
     endpoint: Endpoint
-    replica: ModelServerReplica
     client_session: Session
     server_session: Session
     payload: bytes
@@ -110,312 +375,95 @@ class _ReplicaServer:
             self._start(self.queue.popleft())
 
 
-class VirtualRunner:
+class VirtualRunner(ClusterRunner):
+    """The shared core driven by one event loop, with requests served in
+    process."""
+
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
-        self.config = config
-        self.profile: ModelProfile = config.profile
         self.loop = EventLoop()
-        self.recorder = Recorder()
-        self.epc_rows: list[str] = []
-        self.service_rows: list[str] = []
-        self.traffic_capture: list[bytes] = []
-        self.store = store if store is not None else MemoryStore()
+        super().__init__(config, self.loop, store)
         self.jitter_rng = crypto.derived_rng(config.seed, "service-jitter")
-        self.crypto_rng = crypto.derived_rng(config.seed, "session-crypto")
         self._servers: dict[str, _ReplicaServer] = {}
-        self._telemetry: dict[str, NodeTelemetry] = {}
-        self.telemetry_gaps = 0
-        # the client's resumption tickets, and how each request's handshake went
-        self.tickets = TicketCache()
-        self.handshakes_full = 0
-        self.handshakes_resumed = 0
-        self.vs: VirtualService | None = None
-        self.controller: SloController | None = None
-        self.autoscaler: Autoscaler | None = None
-        self.reconciler: Reconciler | None = None
-        self.aecs_replicas: list[AecsReplica] = []
-
-    # -- topology -----------------------------------------------------------------
-
-    def _build_cluster(self, sealed_root: Path) -> None:
-        config = self.config
-        node_rng = crypto.derived_rng(config.seed, "node-keys")
-        self.substrate = Substrate(self.loop)
-        for node_config in config.nodes:
-            self.substrate.add_node(
-                NodeSpec(
-                    node_id=node_config.node_id,
-                    root_seal_key=node_rng.randbytes(32),
-                    platform_attestation_key=node_rng.randbytes(32),
-                    epc_usable_bytes=node_config.epc_mib * MIB,
-                    cpu_cores=node_config.cores,
-                ),
-                t_ref=config.t_ref_pages_per_s,
-            )
-            self._telemetry[node_config.node_id] = NodeTelemetry(node_config.node_id)
-
-        deployment = AecsDeployment(
-            measurement=AECS_MEASUREMENT, registry=self.substrate.registry, store=self.store
-        )
-        for placement in config.aecs_placements:
-            node = self.substrate.node(placement.node_id)
-            enclave = node.launch_enclave(
-                EnclaveSpec(
-                    enclave_id=f"aecs/{placement.replica_id}",
-                    measurement=AECS_MEASUREMENT,
-                    requested_epc_bytes=AECS_ENCLAVE_REQUESTED,
-                    working_set_bytes=AECS_ENCLAVE_WORKING_SET,
-                    page_access_rate=0.0,
-                    system_enclave=True,
-                )
-            )
-            replica = AecsReplica(
-                replica_id=placement.replica_id,
-                enclave=enclave,
-                deployment=deployment,
-                sealed_path=sealed_root / f"{placement.replica_id}.sealed",
-                rng=crypto.derived_rng(config.seed, f"aecs:{placement.replica_id}"),
-                clock=self.loop,
-            )
-            replica.bootstrap()
-            self.aecs_replicas.append(replica)
-
-        capture = self.traffic_capture if config.capture_traffic else None
-        self.aecs_client = self.aecs_replicas[0].client(capture=capture)
-        self.aecs_client.create_service_pki(config.service_id, self.profile.measurement())
-        self.expected_cert = self.aecs_client.get_certificate(config.service_id)
-
-        frontend_algorithm = "sed" if config.algorithm == "sgx_aware" else config.algorithm
-        self.vs = VirtualService(config.service_id, frontend_algorithm)
-        if config.autoscale.enabled:
-            # the placement list is the pool; the reconciler owns membership
-            self.reconciler = Reconciler(
-                config.service_id,
-                self.vs,
-                placements=[(p.replica_id, p.node_id) for p in config.replica_placements],
-                starter=self._make_replica,
-            )
-            self.reconciler.step(0.0, config.autoscale.min_replicas)
-        else:
-            for placement in config.replica_placements:
-                endpoint = Endpoint(
-                    endpoint_id=placement.replica_id,
-                    replica=self._make_replica(placement.replica_id, placement.node_id),
-                )
-                self.vs.add_endpoint(endpoint)
-
-        if config.algorithm == "sgx_aware":
-            assert config.slo is not None
-            policy = SloPolicy(
-                service_id=config.service_id,
-                slo_p99=self.profile.slo_s,
-                boundary_pages_per_s=config.slo.boundary_pages_per_s,
-                threshold_fraction=config.slo.theta,
-                consecutive_cycles=config.slo.consecutive_cycles,
-                sample_interval=config.slo.sample_interval_s,
-            )
-            self.controller = SloController(policy, self.vs)
-
-        if config.autoscale.enabled:
-            self.autoscaler = Autoscaler(
-                ScalePolicy(
-                    service_id=config.service_id,
-                    target_utilization=config.autoscale.target_utilization,
-                    min_replicas=config.autoscale.min_replicas,
-                    max_replicas=config.autoscale.max_replicas,
-                    cooldown=config.autoscale.cooldown_s,
-                )
-            )
 
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
-        replica = start_replica(
-            service_id=self.config.service_id,
-            replica_id=replica_id,
-            aecs_client=self.aecs_client,
-            node=self.substrate.node(node_id),
-            enclave_spec=self.profile.enclave_spec(f"{self.config.service_id}/{replica_id}"),
-            base_inference_time=self.profile.base_time_s,
-            rng=crypto.derived_rng(self.config.seed, f"replica:{replica_id}"),
-            parallelism=self.config.parallelism,
-        )
+        replica = super()._make_replica(replica_id, node_id)
         self._servers[replica_id] = _ReplicaServer(self, replica)
         return replica
 
-    # -- scripted interference -------------------------------------------------------
+    # -- clock driver --------------------------------------------------------------------
 
-    def _schedule_interference(self) -> None:
-        for script_index, script in enumerate(self.config.interference):
-            node = self.substrate.node(script.node_id)
-            for window_index, (start, end) in enumerate(script.windows):
-                spec = EnclaveSpec(
-                    enclave_id=f"stress-{script.node_id}-{script_index}-{window_index}",
-                    measurement=INTERFERENCE_MEASUREMENT,
-                    requested_epc_bytes=script.epc_mib * MIB,
-                    # the batch task keeps refreshing its whole allocation
-                    working_set_bytes=script.epc_mib * MIB,
-                    page_access_rate=script.rate_pages_per_s,
-                )
-                self.loop.call_at(start, self._launcher(node, spec))
-                self.loop.call_at(end, self._terminator(node, spec.enclave_id))
+    def _schedule(self) -> WorkloadSpec:
+        for when, action in self._interference():
+            self.loop.call_at(when, action)
+        for k in range(int(self.config.duration_s / self.interval) + 1):
+            self.loop.call_at(k * self.interval, self._tick)
+        spec = self._workload()
+        self.arrivals = generate_arrivals(spec)
+        for index, when in enumerate(self.arrivals):
+            self.loop.call_at(when, partial(self._send, spec, index))
+        return spec
 
-    def _launcher(self, node: Node, spec: EnclaveSpec):
-        def launch() -> None:
-            node.launch_enclave(spec)
-
-        return launch
-
-    def _terminator(self, node: Node, enclave_id: str):
-        def terminate() -> None:
-            handle = node.enclave_handle(enclave_id)
-            if handle is not None:
-                node.terminate_enclave(handle)
-
-        return terminate
-
-    # -- telemetry / control ticks ------------------------------------------------------
-
-    def _schedule_ticks(self) -> None:
-        interval = self.config.slo.sample_interval_s if self.config.slo else 1.0
-        ticks = int(self.config.duration_s / interval) + 1
-        for k in range(ticks):
-            self.loop.call_at(k * interval, self._tick)
-
-    def _tick(self) -> None:
-        now = self.loop.now()
-        interval = self.config.slo.sample_interval_s if self.config.slo else 1.0
-        observations: dict[str, NodeObservation] = {}
-        for node in self.substrate.nodes():
-            try:
-                sample = collect(node)
-            except NodeUnreachable:
-                # a gap this cycle: the controller must not act on stale data
-                self.telemetry_gaps += 1
-                observations[node.node_id] = NodeObservation(throughput=None)
-                continue
-            self._telemetry[node.node_id].add(sample)
-            self.epc_rows.append(epc_csv_row(sample))
-            observations[node.node_id] = observation_from_samples(
-                self._telemetry[node.node_id].window(2)
-            )
-
-        assert self.vs is not None
-        if self.controller is not None:
-            self.controller.step(observations, now)
-
-        for endpoint in self.vs.endpoints():
-            util = replica_cpu_utilization(endpoint.replica, window=interval, now=now)
-            self.service_rows.append(
-                service_csv_row(
-                    now,
-                    self.config.service_id,
-                    endpoint.endpoint_id,
-                    endpoint.weight,
-                    endpoint.active_connections,
-                    util,
-                )
-            )
-
-        if self.autoscaler is not None and self.reconciler is not None:
-            utils = [
-                replica_cpu_utilization(ep.replica, window=interval, now=now)
-                for ep in self.vs.endpoints()
-                if ep.weight == 1
-            ]
-            desired = self.autoscaler.step(now, len(self.vs.endpoints()), utils)
-            self.reconciler.step(now, desired)
+    def _drive(self, spec: WorkloadSpec) -> None:
+        # run to the cutoff, then drain completions and timeouts
+        self.loop.run(until=self.config.duration_s)
+        self.loop.run()
 
     # -- request path ------------------------------------------------------------------
 
-    def _schedule_workload(self) -> WorkloadSpec:
-        spec = WorkloadSpec(
-            service_id=self.config.service_id,
-            rate_per_s=self.config.workload.rate_per_s,
-            duration_s=self.config.duration_s,
-            rng_seed=self.config.seed,
-            payload_bytes=self.config.workload.payload_bytes,
-            timeout_s=self.config.workload.timeout_s,
-        )
-        self.arrivals = generate_arrivals(spec)
-        for index, when in enumerate(self.arrivals):
-            self.loop.call_at(when, self._sender(spec, index))
-        return spec
-
-    def _sender(self, spec: WorkloadSpec, index: int):
-        def send() -> None:
-            self._send(spec, index)
-
-        return send
-
     def _send(self, spec: WorkloadSpec, index: int) -> None:
         now = self.loop.now()
-        self.recorder.count_send()
-        assert self.vs is not None
-        try:
-            endpoint = self.vs.pick_endpoint()
-        except NoEligibleEndpoint:
-            self.recorder.record(
-                RequestRecord(index, now, now, "", spec.timeout_s, STATUS_REJECTED)
-            )
+        endpoint = self._pick(spec, index, now)
+        if endpoint is None:
             return
-        self.vs.dispatch(endpoint)
-        replica: ModelServerReplica = endpoint.replica
         client_session, server_session = handshake_in_process(
             self.expected_cert,
-            replica.pki,
+            endpoint.replica.pki,
             self.crypto_rng,
             self.crypto_rng,
             now=now,
             tickets=self.tickets,
-            capture=self.traffic_capture if self.config.capture_traffic else None,
+            capture=self._capture,
         )
-        if client_session.resumed:
-            self.handshakes_resumed += 1
-        else:
-            self.handshakes_full += 1
+        self._count_handshake(client_session)
         payload = request_payload(spec, index)
         wire_record = seal_record(client_session, payload)
-        if self.config.capture_traffic:
-            self.traffic_capture.append(wire_record)
+        if self._capture is not None:
+            self._capture.append(wire_record)
         server_payload = open_record(server_session, wire_record)
         req = _Request(
             index=index,
             send_ts=now,
             endpoint=endpoint,
-            replica=replica,
             client_session=client_session,
             server_session=server_session,
             payload=server_payload,
         )
         self._servers[endpoint.endpoint_id].submit(req)
-        self.loop.call_later(spec.timeout_s, self._timeout_cb(req, spec.timeout_s))
+        self.loop.call_later(spec.timeout_s, partial(self._time_out, req, spec.timeout_s))
 
-    def _timeout_cb(self, req: _Request, timeout_s: float):
-        def fire() -> None:
-            if req.completed or req.timed_out:
-                return
-            req.timed_out = True
-            self.recorder.record(
-                RequestRecord(
-                    req.index,
-                    req.send_ts,
-                    req.send_ts + timeout_s,
-                    req.endpoint.endpoint_id,
-                    timeout_s,
-                    STATUS_TIMEOUT,
-                )
+    def _time_out(self, req: _Request, timeout_s: float) -> None:
+        if req.completed or req.timed_out:
+            return
+        req.timed_out = True
+        self.recorder.record(
+            RequestRecord(
+                req.index,
+                req.send_ts,
+                req.send_ts + timeout_s,
+                req.endpoint.endpoint_id,
+                timeout_s,
+                STATUS_TIMEOUT,
             )
-
-        return fire
+        )
 
     def complete_request(self, req: _Request) -> None:
         now = self.loop.now()
         response = seal_record(
             req.server_session, encode_inference_response(req.payload, req.service_time)
         )
-        if self.config.capture_traffic:
-            self.traffic_capture.append(response)
+        if self._capture is not None:
+            self._capture.append(response)
         open_record(req.client_session, response)
-        assert self.vs is not None
         self.vs.complete(req.endpoint)
         req.completed = True
         if req.timed_out:
@@ -429,35 +477,6 @@ class VirtualRunner:
                 now - req.send_ts,
                 STATUS_OK,
             )
-        )
-
-    # -- entry point -------------------------------------------------------------------
-
-    def run(self) -> RunReport:
-        with tempfile.TemporaryDirectory(prefix="enclaveserve-sealed-") as sealed_root:
-            try:
-                self._build_cluster(Path(sealed_root))
-                self._schedule_interference()
-                self._schedule_ticks()
-                self._schedule_workload()
-            except Exception as exc:
-                raise ScenarioFailed(f"scenario setup failed: {exc}") from exc
-            # run to the cutoff, then drain completions and timeouts
-            self.loop.run(until=self.config.duration_s)
-            self.loop.run()
-        assert self.vs is not None
-        return RunReport(
-            scenario=self.config.name,
-            seed=self.config.seed,
-            model=self.config.model,
-            algorithm=self.config.algorithm,
-            duration_s=self.config.duration_s,
-            slo_s=self.profile.slo_s,
-            records=self.recorder.records(),
-            sent=self.recorder.sent,
-            weight_events=list(self.vs.weight_log),
-            epc_rows=list(self.epc_rows),
-            service_rows=list(self.service_rows),
         )
 
 

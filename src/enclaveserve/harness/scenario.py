@@ -183,6 +183,14 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
             raise ConfigInvalid("slo theta must be in (0, 1]")
         if config.slo.consecutive_cycles < 1 or config.slo.sample_interval_s <= 0:
             raise ConfigInvalid("slo cycles/interval out of range")
+    if config.autoscale.enabled:
+        autoscale = config.autoscale
+        if not 1 <= autoscale.min_replicas <= autoscale.max_replicas <= len(replica_ids):
+            raise ConfigInvalid(
+                "autoscale needs 1 <= min_replicas <= max_replicas <= the replica placements"
+            )
+        if not 0 < autoscale.target_utilization <= 1 or autoscale.cooldown_s < 0:
+            raise ConfigInvalid("autoscale target_utilization must be in (0, 1], cooldown_s >= 0")
     if config.workload.rate_per_s <= 0 or config.workload.timeout_s <= 0:
         raise ConfigInvalid("workload rate and timeout must be positive")
     for script in config.interference:

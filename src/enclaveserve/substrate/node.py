@@ -115,6 +115,8 @@ class Node:
         self._pages_out = 0.0
         self._last_advance = clock.now()
         self._seal_counter = 0
+        # fault injection: telemetry collection fails while this is set
+        self.unreachable: bool = False
 
     @property
     def node_id(self) -> str:
@@ -141,10 +143,6 @@ class Node:
                 raise EnclaveNotRunning(f"enclave {handle.spec.enclave_id!r} is not running")
             handle.running = False
             del self._enclaves[handle.spec.enclave_id]
-
-    def running_enclaves(self) -> list[EnclaveSpec]:
-        with self._lock:
-            return [h.spec for h in self._enclaves.values()]
 
     def enclave_handle(self, enclave_id: str) -> EnclaveHandle | None:
         with self._lock:

@@ -183,6 +183,14 @@ def test_missing_telemetry_resets_streak_and_is_counted():
     assert vs.endpoint("r0").weight == 1
 
 
+def test_missing_cycles_counts_cycles_not_endpoints():
+    controller, _ = controller_fixture(n_endpoints=3)
+    controller.step({f"node-{i}": NodeObservation(throughput=None) for i in range(3)})
+    assert controller.missing_cycles == 1
+    controller.step({})
+    assert controller.missing_cycles == 2
+
+
 def test_quiescent_without_interference():
     controller, vs = controller_fixture(n_endpoints=3)
     for _ in range(50):

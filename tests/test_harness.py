@@ -29,11 +29,15 @@ from enclaveserve.harness.report import (
 from enclaveserve.harness.runner import VirtualRunner
 from enclaveserve.harness.runner_real import RealRunner
 from enclaveserve.harness.scenario import (
+    AutoscaleSettings,
     InterferenceSettings,
+    SloSettings,
     WorkloadSettings,
     from_dict,
 )
 from enclaveserve.profiles import PRESETS
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 # -- workload ---------------------------------------------------------------------
@@ -194,6 +198,25 @@ def test_sgx_aware_requires_slo_policy():
 
     with pytest.raises(ConfigInvalid):
         validate(dataclasses.replace(config, slo=None))
+
+
+def test_autoscale_bounds_validated():
+    raw = yaml.safe_load(SCENARIOS.joinpath("autoscale-demo.yaml").read_text())
+    # max_replicas == the three placements is accepted
+    assert from_dict(raw).autoscale.max_replicas == len(raw["service"]["replicas"])
+    for key, value in (
+        ("max_replicas", 6),
+        ("min_replicas", 0),
+        ("min_replicas", 4),
+        ("target_utilization", 0.0),
+        ("target_utilization", 1.5),
+        ("cooldown_s", -1.0),
+    ):
+        bad = yaml.safe_load(SCENARIOS.joinpath("autoscale-demo.yaml").read_text())
+        bad["policies"]["autoscale"][key] = value
+        bad["workload"]["rate_per_s"] = 400.0
+        with pytest.raises(ConfigInvalid):
+            from_dict(bad)
 
 
 # -- small end-to-end runs ---------------------------------------------------------------
@@ -443,3 +466,65 @@ def test_real_clock_smoke():
     ok_latencies = [r.latency for r in report.records if r.status == "ok"]
     # base 20 ms plus scheduler jitter; a sleeping-clock run stays well under a second
     assert all(0.018 <= lat < 2.0 for lat in ok_latencies)
+
+
+def short_real_scenario(**changes):
+    config = small_scenario(duration=1.5, rate=12.0, seed=21)
+    return dataclasses.replace(
+        config, workload=WorkloadSettings(rate_per_s=12.0, timeout_s=5.0), **changes
+    )
+
+
+def test_real_clock_rejects_autoscale():
+    config = short_real_scenario(
+        autoscale=AutoscaleSettings(enabled=True, min_replicas=1, max_replicas=3)
+    )
+    with pytest.raises(ConfigInvalid):
+        RealRunner(config)
+
+
+def test_real_clock_capture_holds_handshakes_and_no_secrets():
+    runner = RealRunner(short_real_scenario(capture_traffic=True))
+    report = runner.run()
+    assert report.completed > 1
+    capture = runner.traffic_capture
+    # keystore RPCs from the shared build (ProvisionPki per replica), then
+    # every client-side frame
+    assert sum(blob.startswith(b"\x01\x03") for blob in capture) == 3
+    assert any(blob.startswith(b"hs1c") for blob in capture)
+    assert any(blob.startswith(b"hs1r") for blob in capture)
+    assert any(blob.startswith(b"rec1") for blob in capture)
+    needles = [runner.aecs_replicas[0]._storage_key.reveal("audit")]
+    for endpoint in runner.vs.endpoints():
+        needles.append(endpoint.replica.pki.private_key.private_bytes("audit"))
+        needles.append(endpoint.replica.pki.ticket_key)
+    held = runner.tickets.lookup(runner.expected_cert)
+    assert held is not None
+    needles.append(held.psk)
+    for needle in needles:
+        assert all(needle not in blob for blob in capture)
+
+
+class _PartitionedRealRunner(RealRunner):
+    """Marks node-c unreachable once the cluster is built, before any tick."""
+
+    def _build_cluster(self, sealed_root):
+        super()._build_cluster(sealed_root)
+        self.substrate.node("node-c").unreachable = True
+
+
+def test_real_clock_control_survives_unreachable_node():
+    config = short_real_scenario(
+        algorithm="sgx_aware",
+        slo=SloSettings(boundary_pages_per_s=4950.0, sample_interval_s=0.25),
+    )
+    runner = _PartitionedRealRunner(config)
+    report = runner.run()
+    assert report.completed > 0
+    assert runner.telemetry_gaps > 0
+    assert runner.controller is not None and runner.controller.missing_cycles > 0
+    rows_by_node = {"node-a": 0, "node-b": 0, "node-c": 0}
+    for row in report.epc_rows:
+        rows_by_node[row.split(",")[1]] += 1
+    assert rows_by_node["node-c"] == 0
+    assert rows_by_node["node-a"] >= 2 and rows_by_node["node-b"] >= 2

@@ -46,6 +46,7 @@ _SEALED_MAGIC = b"aecs-seal-v1"
 
 LEADER_OBJECT = "aecs/leader"
 KEYMAP_OBJECT = "aecs/keymap"
+MAX_CAS_RETRIES = 8
 
 # default code identity of the keystore enclave itself; replicas attest to
 # this measurement when fetching the storage key from a peer
@@ -60,7 +61,6 @@ class AecsDeployment:
     registry: PlatformRegistry
     store: UntrustedStore
     bootstrap_timeout: float = 5.0
-    max_cas_retries: int = 8
     cas_backoff: float = 0.002
     _peers: list["AecsReplica"] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock)
@@ -243,7 +243,7 @@ class AecsReplica:
         key = self._require_key()
         with self._mutate_lock:
             backoff = self.deployment.cas_backoff
-            for attempt in range(self.deployment.max_cas_retries):
+            for attempt in range(MAX_CAS_RETRIES):
                 keymap, store_version = self._load_map()
                 apply(keymap)
                 keymap.version += 1
@@ -254,7 +254,7 @@ class AecsReplica:
                 except VersionConflict:
                     time.sleep(backoff * (2**attempt) * self._rng.random())
             raise StoreConflictExhausted(
-                f"gave up after {self.deployment.max_cas_retries} CAS attempts"
+                f"gave up after {MAX_CAS_RETRIES} CAS attempts"
             )
 
     # -- RPC operations ---------------------------------------------------------

@@ -133,17 +133,16 @@ def generate_pki(
     rng: random.Random,
     *,
     now: float = 0.0,
-    validity_seconds: float = DEFAULT_VALIDITY_SECONDS,
 ) -> ServicePki:
     if not subject:
         raise ValueError("subject must be non-empty")
     key = ConfinedSigningKey.generate(rng)
-    body = _signed_body(subject, key.public_bytes(), now, now + validity_seconds)
+    body = _signed_body(subject, key.public_bytes(), now, now + DEFAULT_VALIDITY_SECONDS)
     cert = Certificate(
         subject=subject,
         public_key=key.public_bytes(),
         not_before=now,
-        not_after=now + validity_seconds,
+        not_after=now + DEFAULT_VALIDITY_SECONDS,
         self_signature=key.sign(body),
     )
     return ServicePki(cert, key)

@@ -363,11 +363,10 @@ def server_handshake(
     rng: random.Random,
     *,
     now: float | None = None,
-    timeout: float | None = 10.0,
 ) -> Session:
     hs = ServerHandshake(pki, rng, now=now)
-    transport.send_frame(hs.respond(transport.recv_frame(timeout)))
-    hs.complete(transport.recv_frame(timeout))
+    transport.send_frame(hs.respond(transport.recv_frame(10.0)))
+    hs.complete(transport.recv_frame(10.0))
     return hs.session()
 
 

@@ -1,9 +1,10 @@
-"""Clocks and the discrete-event scheduler used by virtual-clock runs.
+"""Clocks and the event loop that both clocks schedule on.
 
-Virtual runs are single-threaded: every timed action is an event on one
-heap, ordered by (time, insertion sequence), so a fixed schedule replays
-identically. Real-clock mode uses the monotonic wall clock and ordinary
-threads instead of this loop.
+Every timed action of a run is an event on one heap, ordered by (time,
+insertion sequence). `EventLoop` is the virtual clock: it jumps from one
+event to the next without waiting, so runs are single-threaded and a fixed
+schedule replays identically. `RealClock` is the same loop on the monotonic
+wall clock: it sleeps until each event is due.
 """
 
 from __future__ import annotations
@@ -18,16 +19,6 @@ class Clock:
 
     def now(self) -> float:
         raise NotImplementedError
-
-
-class RealClock(Clock):
-    """Monotonic wall clock, zeroed at construction."""
-
-    def __init__(self) -> None:
-        self._t0 = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._t0
 
 
 class EventLoop(Clock):
@@ -52,7 +43,7 @@ class EventLoop(Clock):
         self._seq += 1
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        self.call_at(self._now + delay, fn)
+        self.call_at(self.now() + delay, fn)
 
     def run(self, until: float | None = None) -> None:
         """Fire events in order; stop when the heap drains or `until` passes.
@@ -70,3 +61,30 @@ class EventLoop(Clock):
             fn()
         if until is not None and until > self._now:
             self._now = until
+
+
+class RealClock(EventLoop):
+    """The event loop on the monotonic wall clock, zeroed at construction.
+
+    `run()` sleeps until each event is due: an event whose time has already
+    passed runs at once, and no event runs before its time. Events run on
+    the thread that calls `run()`, one at a time.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._t0 = time.monotonic()
+
+    def now(self) -> float:
+        return time.monotonic() - self._t0
+
+    def run(self) -> None:
+        """Fire every queued event at its time, then return."""
+        while self._heap:
+            when, _, fn = self._heap[0]
+            delay = when - self.now()
+            if delay > 0:
+                time.sleep(delay)
+                continue
+            heapq.heappop(self._heap)
+            fn()

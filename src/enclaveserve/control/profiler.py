@@ -18,7 +18,6 @@ from typing import Sequence
 from ..clock import EventLoop
 from ..profiles import ModelProfile
 from ..substrate.node import EnclaveSpec, NodeSpec, Substrate
-from ..substrate.paging import DEFAULT_T_REF_PAGES_PER_S
 from .errors import SloUnattainable
 from .telemetry import collect, paging_throughput
 
@@ -35,7 +34,6 @@ class BoundaryPoint:
 @dataclass
 class BoundaryProfile:
     profile_id: str
-    node_class: str
     points: list[BoundaryPoint] = field(default_factory=list)
 
     def boundary_for(self, slo: float) -> float:
@@ -64,6 +62,7 @@ def _isotonic(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
 
 
 DEFAULT_SWEEP_MIB = (0, 35, 45, 60, 80, 93)
+INTERFERENCE_PAGE_RATE = 20000.0
 
 
 def profile_boundary(
@@ -71,12 +70,8 @@ def profile_boundary(
     slo: float,
     *,
     sweep_epc_bytes: Sequence[int] | None = None,
-    interference_page_rate: float = 20000.0,
     requests_per_point: int = 2000,
     seed: int = 0,
-    epc_usable_bytes: int | None = None,
-    t_ref: float = DEFAULT_T_REF_PAGES_PER_S,
-    node_class: str = "default",
 ) -> tuple[BoundaryProfile, float]:
     """Sweep interference sizes and derive (profile, boundary) for the SLO.
 
@@ -93,44 +88,29 @@ def profile_boundary(
     points: list[BoundaryPoint] = []
     for i, interference_bytes in enumerate(sweep):
         rng = random.Random(seed * 1_000_003 + i)
-        point = _run_point(
-            profile,
-            interference_bytes,
-            interference_page_rate,
-            requests_per_point,
-            rng,
-            epc_usable_bytes,
-            t_ref,
-        )
-        points.append(point)
+        points.append(_run_point(profile, interference_bytes, requests_per_point, rng))
     points.sort(key=lambda p: p.avg_paging_throughput)
-    result = BoundaryProfile(profile.profile_id, node_class, _isotonic(points))
+    result = BoundaryProfile(profile.profile_id, _isotonic(points))
     return result, result.boundary_for(slo)
 
 
 def _run_point(
     profile: ModelProfile,
     interference_bytes: int,
-    interference_rate: float,
     requests: int,
     rng: random.Random,
-    epc_usable_bytes: int | None,
-    t_ref: float,
 ) -> BoundaryPoint:
     from ..harness.metrics import percentile
 
     loop = EventLoop()
     substrate = Substrate(loop)
-    spec_kwargs = {} if epc_usable_bytes is None else {"epc_usable_bytes": epc_usable_bytes}
     node = substrate.add_node(
         NodeSpec(
             node_id="profiler-node",
             root_seal_key=rng.randbytes(32),
             platform_attestation_key=rng.randbytes(32),
             cpu_cores=1,
-            **spec_kwargs,
-        ),
-        t_ref=t_ref,
+        )
     )
     node.launch_enclave(profile.enclave_spec("profiler-replica"))
     if interference_bytes > 0:
@@ -140,7 +120,7 @@ def _run_point(
                 measurement=b"\xee" * 32,
                 requested_epc_bytes=interference_bytes,
                 working_set_bytes=interference_bytes,
-                page_access_rate=interference_rate,
+                page_access_rate=INTERFERENCE_PAGE_RATE,
             )
         )
 

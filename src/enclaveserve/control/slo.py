@@ -81,13 +81,7 @@ class SloController:
         self._streaks: dict[str, int] = {}
         self.missing_cycles = 0  # cycles in which some node's sample was missing
 
-    def step(
-        self,
-        observations: dict[str, NodeObservation],
-        now: float = 0.0,
-        *,
-        apply: bool = True,
-    ) -> list[WeightAction]:
+    def step(self, observations: dict[str, NodeObservation], now: float = 0.0) -> list[WeightAction]:
         """Run one control cycle and return the weight changes issued.
 
         `observations` maps node id -> NodeObservation. Actuation is
@@ -116,7 +110,6 @@ class SloController:
                 actions.append(WeightAction(ep.endpoint_id, 1, "interference-clear"))
         if missing:
             self.missing_cycles += 1
-        if apply:
-            for action in actions:
-                self.vs.set_weight(action.endpoint_id, action.weight, ts=now, reason=action.reason)
+        for action in actions:
+            self.vs.set_weight(action.endpoint_id, action.weight, ts=now, reason=action.reason)
         return actions

@@ -75,9 +75,9 @@ def collect(node: Node) -> EpcSample:
 class NodeTelemetry:
     """Bounded sample history for one node, enforcing timestamp monotonicity."""
 
-    def __init__(self, node_id: str, capacity: int = 128) -> None:
+    def __init__(self, node_id: str) -> None:
         self.node_id = node_id
-        self._samples: deque[EpcSample] = deque(maxlen=capacity)
+        self._samples: deque[EpcSample] = deque(maxlen=128)
 
     def add(self, sample: EpcSample) -> None:
         if sample.node_id != self.node_id:

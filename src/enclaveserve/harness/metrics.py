@@ -88,13 +88,12 @@ class RunReport:
     def in_flight_at_cutoff(self) -> int:
         return self.sent - len(self.records)
 
-    def latencies(self, *, include_timeouts: bool = True) -> list[float]:
-        if include_timeouts:
-            return [r.latency for r in self.records]
-        return [r.latency for r in self.records if r.status == STATUS_OK]
+    def latencies(self) -> list[float]:
+        """Every recorded latency; a timeout or a reject counts as `timeout_s`."""
+        return [r.latency for r in self.records]
 
-    def percentile(self, p: float, *, include_timeouts: bool = True) -> float:
-        return percentile(self.latencies(include_timeouts=include_timeouts), p)
+    def percentile(self, p: float) -> float:
+        return percentile(self.latencies(), p)
 
     @property
     def throughput_rps(self) -> float:

@@ -2,14 +2,15 @@
 
 `ClusterRunner` is what both clocks share: the cluster build (nodes,
 keystore replicas, service PKI, frontend, model replicas, SLO controller,
-autoscaler and reconciler), the interference windows, and the control tick
-from node telemetry to the controller and autoscaler. A runner for one
-clock adds only its clock driver and its request path.
+autoscaler and reconciler) and the run's one schedule. Interference window
+edges, a control tick every sample interval (node telemetry to the
+controller and autoscaler) and the request sends are events on the
+runner's clock, queued in that order, and `run()` runs that clock until
+every event has fired. A runner for one clock adds only its request path.
 
-The virtual runner drives everything from one discrete-event loop: request
-arrivals, replica service completions, request timeouts, telemetry ticks,
-controller actuations, and scripted interference, all on the virtual
-clock. Runs are single-threaded and every random draw comes from streams
+The virtual runner's clock is an `EventLoop` that jumps from event to
+event: replica service completions and request timeouts are events on it
+too. Runs are single-threaded and every random draw comes from streams
 derived from the scenario seed, so a (scenario, seed) pair replays to the
 byte.
 
@@ -35,7 +36,7 @@ from ..aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
 from ..aecs.store import MemoryStore, UntrustedStore
 from ..channel.handshake import TicketCache, handshake_in_process
 from ..channel.record import Session, open_record, seal_record
-from ..clock import Clock, EventLoop
+from ..clock import EventLoop
 from ..control.autoscale import Autoscaler, ScalePolicy
 from ..control.errors import NodeUnreachable
 from ..control.reconcile import Reconciler
@@ -76,15 +77,17 @@ def _terminate(node: Node, enclave_id: str) -> None:
 
 
 class ClusterRunner:
-    """One scenario's cluster and its control loop, on any clock.
+    """One scenario's cluster and its schedule, on any clock.
 
-    A subclass supplies the clock: `_schedule()`, the set-up after the
-    cluster build (it calls its own module's `generate_arrivals` and returns
-    the workload), and `_drive(spec)`, the run itself. It extends
+    A subclass supplies the clock and the request path: `_send(spec,
+    index)` runs at each request's due time, and `_drain()` waits for the
+    requests still in flight once every event has run. It extends
     `_make_replica` to serve each replica it starts.
     """
 
-    def __init__(self, config: ScenarioConfig, clock: Clock, store: UntrustedStore | None) -> None:
+    def __init__(
+        self, config: ScenarioConfig, clock: EventLoop, store: UntrustedStore | None
+    ) -> None:
         self.config = config
         self.profile: ModelProfile = config.profile
         self.clock = clock
@@ -268,6 +271,26 @@ class ClusterRunner:
             desired = self.autoscaler.step(now, len(self.vs.endpoints()), in_service_utils)
             self.reconciler.step(now, desired)
 
+    # -- schedule --------------------------------------------------------------------
+
+    def _schedule(self) -> None:
+        for when, action in self._interference():
+            self.clock.call_at(when, action)
+        for k in range(int(self.config.duration_s / self.interval) + 1):
+            self.clock.call_at(k * self.interval, self._tick)
+        spec = self._workload()
+        self.arrivals = self._arrivals(spec)
+        for index, when in enumerate(self.arrivals):
+            self.clock.call_at(when, partial(self._send, spec, index))
+
+    def _arrivals(self, spec: WorkloadSpec) -> list[float]:
+        # through the runner's own module: the benchmark stamps each
+        # runner's `generate_arrivals` there
+        return generate_arrivals(spec)
+
+    def _drain(self) -> None:
+        """Wait for requests still in flight once every event has run."""
+
     # -- requests --------------------------------------------------------------------
 
     def _workload(self) -> WorkloadSpec:
@@ -307,10 +330,11 @@ class ClusterRunner:
         with tempfile.TemporaryDirectory(prefix="enclaveserve-sealed-") as sealed_root:
             try:
                 self._build_cluster(Path(sealed_root))
-                spec = self._schedule()
+                self._schedule()
             except Exception as exc:
                 raise ScenarioFailed(f"scenario setup failed: {exc}") from exc
-            self._drive(spec)
+            self.clock.run()
+            self._drain()
         return RunReport(
             scenario=self.config.name,
             seed=self.config.seed,
@@ -389,24 +413,6 @@ class VirtualRunner(ClusterRunner):
         replica = super()._make_replica(replica_id, node_id)
         self._servers[replica_id] = _ReplicaServer(self, replica)
         return replica
-
-    # -- clock driver --------------------------------------------------------------------
-
-    def _schedule(self) -> WorkloadSpec:
-        for when, action in self._interference():
-            self.loop.call_at(when, action)
-        for k in range(int(self.config.duration_s / self.interval) + 1):
-            self.loop.call_at(k * self.interval, self._tick)
-        spec = self._workload()
-        self.arrivals = generate_arrivals(spec)
-        for index, when in enumerate(self.arrivals):
-            self.loop.call_at(when, partial(self._send, spec, index))
-        return spec
-
-    def _drive(self, spec: WorkloadSpec) -> None:
-        # run to the cutoff, then drain completions and timeouts
-        self.loop.run(until=self.config.duration_s)
-        self.loop.run()
 
     # -- request path ------------------------------------------------------------------
 

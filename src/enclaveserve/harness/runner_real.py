@@ -1,14 +1,15 @@
 """Real-clock scenario execution over loopback sockets.
 
-The cluster and control core of `runner.py` on the wall clock, for smoke
-runs and sanity checks rather than acceptance numbers. Its own parts are
-the clock driver (a generator thread starting one thread per request at its
-due time, a control thread running the shared tick once per sample
-interval, a timer per interference window edge) and the request path:
-replicas listen on loopback TCP ports and serve each connection on its own
-thread; a request is one connection carrying a handshake (resumed once the
-runner's ticket cache holds a ticket) and encrypted records, and service
-time is spent sleeping. `policies.autoscale` is rejected with
+The cluster and schedule of `runner.py` on the wall clock, for smoke runs
+and sanity checks rather than acceptance numbers. The clock is a
+`RealClock`, the same event loop sleeping until each event is due, so
+interference, control ticks and sends run on the thread that calls
+`run()`. Its own part is the request path: each send starts one thread for
+its request, and replicas listen on loopback TCP ports and serve each
+connection on its own thread. A request is one connection carrying a
+handshake (resumed once the runner's ticket cache holds a ticket) and
+encrypted records, all within one deadline of `timeout_s` from its send;
+service time is spent sleeping. `policies.autoscale` is rejected with
 `ConfigInvalid` (the listeners do not follow a reconciler); every other
 scenario field is honoured, `capture_traffic` by recording the keystore
 RPCs and every frame a client sends or receives. Timing is subject to
@@ -22,18 +23,20 @@ from __future__ import annotations
 # collect, request_payload, RequestRecord, client_handshake,
 # server_handshake, SocketTransport, socket and generate_arrivals. So all
 # stay bound here, start_replica and collect too, although the shared core
-# in runner.py makes those two calls.
+# in runner.py makes those two calls. The tracer joins a request's phases by
+# thread, so each request and each connection keeps its own thread.
 import random
 import socket
 import threading
 import time
+from typing import Callable
 
 from ..aecs.store import UntrustedStore
 from ..channel.errors import SecureChannelError
 from ..channel.handshake import client_handshake, server_handshake
 from ..channel.record import open_record, seal_record
 from ..channel.transport import SocketTransport, WiretapTransport
-from ..clock import RealClock
+from ..clock import Clock, RealClock
 from ..control.telemetry import collect  # noqa: F401
 from ..serving.replica import (  # noqa: F401
     ModelServerReplica,
@@ -47,14 +50,18 @@ from .runner import ClusterRunner
 from .scenario import ScenarioConfig
 from .workload import WorkloadSpec, generate_arrivals, request_payload
 
-
 class _ReplicaListener:
-    """Loopback TCP server for one replica; `parallelism` bounds the number
-    of requests being serviced at once, later arrivals queue on the semaphore."""
+    """Loopback TCP server for one replica, one thread per connection; each
+    connection is a handshake, one request record in and one response record
+    out. `parallelism` bounds the number of requests being serviced at once,
+    later arrivals queue on the semaphore."""
 
-    def __init__(self, runner: "RealRunner", replica: ModelServerReplica) -> None:
-        self.runner = runner
+    def __init__(
+        self, replica: ModelServerReplica, clock: Clock, server_rng: Callable[[], random.Random]
+    ) -> None:
         self.replica = replica
+        self.clock = clock
+        self.server_rng = server_rng
         self.semaphore = threading.Semaphore(replica.parallelism)
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.bind(("127.0.0.1", 0))
@@ -76,12 +83,12 @@ class _ReplicaListener:
             threading.Thread(target=self._serve_one, args=(conn,), daemon=True).start()
 
     def _serve_one(self, conn: socket.socket) -> None:
-        clock = self.runner.clock
+        clock = self.clock
         try:
             with conn:
                 transport = SocketTransport(conn)
                 session = server_handshake(
-                    transport, self.replica.pki, self.runner.server_rng(), now=clock.now()
+                    transport, self.replica.pki, self.server_rng(), now=clock.now()
                 )
                 payload = open_record(session, transport.recv_frame(10.0))
                 with self.semaphore:
@@ -101,7 +108,7 @@ class _ReplicaListener:
 
 
 class RealRunner(ClusterRunner):
-    """The shared core driven by the wall clock, with requests served over
+    """The shared core on the wall clock, with requests served over
     loopback sockets."""
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
@@ -113,7 +120,7 @@ class RealRunner(ClusterRunner):
         super().__init__(config, RealClock(), store)
         self._rng_lock = threading.Lock()
         self.listeners: dict[str, _ReplicaListener] = {}
-        self._stop = threading.Event()
+        self._workers: list[threading.Thread] = []
 
     def server_rng(self) -> random.Random:
         with self._rng_lock:
@@ -121,44 +128,11 @@ class RealRunner(ClusterRunner):
 
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
         replica = super()._make_replica(replica_id, node_id)
-        self.listeners[replica_id] = _ReplicaListener(self, replica)
+        self.listeners[replica_id] = _ReplicaListener(replica, self.clock, self.server_rng)
         return replica
 
-    # -- clock driver --------------------------------------------------------------------
-
-    def _schedule(self) -> WorkloadSpec:
-        spec = self._workload()
-        self.arrivals = generate_arrivals(spec)
-        return spec
-
-    def _control_loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._tick()
-
-    def _drive(self, spec: WorkloadSpec) -> None:
-        timers = [threading.Timer(when, action) for when, action in self._interference()]
-        for timer in timers:
-            timer.start()
-        control_thread = threading.Thread(target=self._control_loop, daemon=True)
-        control_thread.start()
-
-        workers: list[threading.Thread] = []
-        for index, when in enumerate(self.arrivals):
-            delay = when - self.clock.now()
-            if delay > 0:
-                time.sleep(delay)
-            worker = threading.Thread(
-                target=self._request, args=(spec, index, self.clock.now()), daemon=True
-            )
-            worker.start()
-            workers.append(worker)
-        deadline = time.monotonic() + spec.timeout_s + 1.0
-        for worker in workers:
-            worker.join(max(0.0, deadline - time.monotonic()))
-        self._stop.set()
-        control_thread.join(2.0)
-        for timer in timers:
-            timer.cancel()
+    def _arrivals(self, spec: WorkloadSpec) -> list[float]:
+        return generate_arrivals(spec)
 
     def run(self) -> RunReport:
         try:
@@ -169,13 +143,34 @@ class RealRunner(ClusterRunner):
 
     # -- request path ------------------------------------------------------------------
 
+    def _send(self, spec: WorkloadSpec, index: int) -> None:
+        worker = threading.Thread(
+            target=self._request, args=(spec, index, self.clock.now()), daemon=True
+        )
+        worker.start()
+        self._workers.append(worker)
+
+    def _drain(self) -> None:
+        deadline = time.monotonic() + self.config.workload.timeout_s + 1.0
+        for worker in self._workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
+
     def _request(self, spec: WorkloadSpec, index: int, send_ts: float) -> None:
         endpoint = self._pick(spec, index, send_ts)
         if endpoint is None:
             return
         listener = self.listeners[endpoint.endpoint_id]
+        deadline = send_ts + spec.timeout_s
+
+        def left() -> float:
+            # one deadline covers connect, handshake and response
+            remaining = deadline - self.clock.now()
+            if remaining <= 0:
+                raise TimeoutError("request deadline passed")
+            return remaining
+
         try:
-            with socket.create_connection(("127.0.0.1", listener.port), timeout=spec.timeout_s) as sock:
+            with socket.create_connection(("127.0.0.1", listener.port), timeout=left()) as sock:
                 transport = SocketTransport(sock)
                 if self._capture is not None:
                     transport = WiretapTransport(transport, self._capture)
@@ -185,13 +180,15 @@ class RealRunner(ClusterRunner):
                     self.server_rng(),
                     now=self.clock.now(),
                     tickets=self.tickets,
-                    timeout=spec.timeout_s,
+                    timeout=left(),
                 )
                 self._count_handshake(session)
                 transport.send_frame(seal_record(session, request_payload(spec, index)))
-                response = open_record(session, transport.recv_frame(spec.timeout_s))
+                response = open_record(session, transport.recv_frame(left()))
                 decode_inference_response(response)
             now = self.clock.now()
+            if now > deadline:
+                raise TimeoutError("response arrived after the deadline")
             self.recorder.record(
                 RequestRecord(index, send_ts, now, endpoint.endpoint_id, now - send_ts, STATUS_OK)
             )
@@ -200,7 +197,7 @@ class RealRunner(ClusterRunner):
                 RequestRecord(
                     index,
                     send_ts,
-                    send_ts + spec.timeout_s,
+                    deadline,
                     endpoint.endpoint_id,
                     spec.timeout_s,
                     STATUS_TIMEOUT,

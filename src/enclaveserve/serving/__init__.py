@@ -3,7 +3,6 @@ from .errors import (
     NoEligibleEndpoint,
     ProvisioningFailed,
     ServingError,
-    SessionError,
     UnknownEndpoint,
 )
 from .frontend import ALGORITHMS, Endpoint, VirtualService, WeightChange
@@ -13,7 +12,6 @@ from .replica import (
     decode_inference_response,
     encode_inference_response,
     replica_cpu_utilization,
-    serve_connection,
     start_replica,
     stop_replica,
 )
@@ -26,7 +24,6 @@ __all__ = [
     "NoEligibleEndpoint",
     "ProvisioningFailed",
     "ServingError",
-    "SessionError",
     "UnknownEndpoint",
     "VirtualService",
     "WeightChange",
@@ -34,7 +31,6 @@ __all__ = [
     "decode_inference_response",
     "encode_inference_response",
     "replica_cpu_utilization",
-    "serve_connection",
     "start_replica",
     "stop_replica",
 ]

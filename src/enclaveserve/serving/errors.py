@@ -19,7 +19,3 @@ class NoEligibleEndpoint(ServingError):
 
 class UnknownEndpoint(ServingError):
     pass
-
-
-class SessionError(ServingError):
-    """Inference RPC failed at the session or record layer."""

@@ -91,14 +91,9 @@ class VirtualService:
                         self._rr_cursor = idx
                         return eps[idx]
                 raise NoEligibleEndpoint(self.service_id)
-            if self.algorithm == "lc":
-                eligible = [(ep.active_connections, i) for i, ep in enumerate(eps) if ep.weight == 1]
-            else:  # sed; weight-0 excluded before the argmin, so no zero division
-                eligible = [
-                    ((ep.active_connections + 1) / ep.weight, i)
-                    for i, ep in enumerate(eps)
-                    if ep.weight > 0
-                ]
+            # lc and sed: weights are 0 or 1, so sed's (conns + 1) / weight
+            # over the weight-1 endpoints orders them exactly as conns does
+            eligible = [(ep.active_connections, i) for i, ep in enumerate(eps) if ep.weight == 1]
             if not eligible:
                 raise NoEligibleEndpoint(self.service_id)
             _, idx = min(eligible)

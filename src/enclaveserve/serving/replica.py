@@ -17,22 +17,16 @@ from __future__ import annotations
 import random
 import struct
 import threading
-import time
 from collections import deque
 
 from .. import crypto
 from ..aecs.errors import AecsError
 from ..aecs.service import decode_pki
 from ..aecs.wire import AecsClient, ProvisionRequest
-from ..channel import record
 from ..channel.certs import ServicePki
-from ..channel.errors import SecureChannelError
-from ..channel.handshake import server_handshake
-from ..channel.transport import FrameTransport
-from ..clock import Clock
 from ..substrate.errors import SubstrateError
 from ..substrate.node import EnclaveHandle, EnclaveSpec, Node
-from .errors import EnclaveLaunchFailed, ProvisioningFailed, SessionError
+from .errors import EnclaveLaunchFailed, ProvisioningFailed
 
 
 class ModelServerReplica:
@@ -154,7 +148,7 @@ def crash_replica(replica: ModelServerReplica) -> None:
     stop_replica(replica)
 
 
-# -- inference RPC (real-clock mode) -----------------------------------------------
+# -- inference response ----------------------------------------------------------------
 
 def encode_inference_response(payload: bytes, service_time: float) -> bytes:
     return struct.pack(">d", service_time) + payload
@@ -164,29 +158,3 @@ def decode_inference_response(plaintext: bytes) -> tuple[bytes, float]:
     (service_time,) = struct.unpack_from(">d", plaintext, 0)
     return plaintext[8:], service_time
 
-
-def serve_connection(
-    replica: ModelServerReplica,
-    transport: FrameTransport,
-    rng: random.Random,
-    clock: Clock,
-    *,
-    max_requests: int | None = None,
-) -> None:
-    """Blocking per-connection server loop: handshake, then request records
-    in, response records out, sleeping each request's service time."""
-    try:
-        session = server_handshake(transport, replica.pki, rng, now=clock.now())
-        served = 0
-        while max_requests is None or served < max_requests:
-            payload = record.open_record(session, transport.recv_frame(10.0))
-            token = replica.begin_request(clock.now())
-            response, service_time = replica.serve_inference(payload)
-            time.sleep(service_time)
-            replica.end_request(token, clock.now())
-            transport.send_frame(
-                record.seal_record(session, encode_inference_response(response, service_time))
-            )
-            served += 1
-    except SecureChannelError as exc:
-        raise SessionError(str(exc)) from exc

@@ -20,7 +20,6 @@ from . import attest, sealing
 from .errors import DuplicateEnclave, EnclaveNotRunning
 from .paging import (
     DEFAULT_T_REF_PAGES_PER_S,
-    LatencyModel,
     LinearLatencyModel,
     PAGE_BYTES,
     PagingModel,
@@ -101,14 +100,13 @@ class Node:
         spec: NodeSpec,
         clock: Clock,
         paging_model: PagingModel | None = None,
-        latency_model: LatencyModel | None = None,
         t_ref: float = DEFAULT_T_REF_PAGES_PER_S,
     ) -> None:
         self.spec = spec
         self.t_ref = t_ref
         self.clock = clock
         self._paging_model = paging_model or ProportionalOverflowModel()
-        self.latency_model = latency_model or LinearLatencyModel(t_ref=t_ref)
+        self.latency_model = LinearLatencyModel(t_ref=t_ref)
         self._lock = threading.RLock()
         self._enclaves: dict[str, EnclaveHandle] = {}
         self._pages_in = 0.0
@@ -251,12 +249,11 @@ class Substrate:
         self,
         spec: NodeSpec,
         paging_model: PagingModel | None = None,
-        latency_model: LatencyModel | None = None,
         t_ref: float = DEFAULT_T_REF_PAGES_PER_S,
     ) -> Node:
         if spec.node_id in self._nodes:
             raise ValueError(f"node {spec.node_id!r} already exists")
-        node = Node(spec, self.clock, paging_model, latency_model, t_ref)
+        node = Node(spec, self.clock, paging_model, t_ref)
         self._nodes[spec.node_id] = node
         self.registry.register(spec.node_id, spec.platform_attestation_key)
         return node

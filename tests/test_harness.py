@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enclaveserve.channel.handshake import server_handshake
 from enclaveserve.cli import main as cli_main
 from enclaveserve.harness import (
     ConfigInvalid,
@@ -26,6 +29,7 @@ from enclaveserve.harness.report import (
     render_latencies,
     summarize_dir,
 )
+from enclaveserve.harness import runner_real
 from enclaveserve.harness.runner import VirtualRunner
 from enclaveserve.harness.runner_real import RealRunner
 from enclaveserve.harness.scenario import (
@@ -36,6 +40,7 @@ from enclaveserve.harness.scenario import (
     from_dict,
 )
 from enclaveserve.profiles import PRESETS
+from enclaveserve.serving import ModelServerReplica
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -528,3 +533,69 @@ def test_real_clock_control_survives_unreachable_node():
         rows_by_node[row.split(",")[1]] += 1
     assert rows_by_node["node-c"] == 0
     assert rows_by_node["node-a"] >= 2 and rows_by_node["node-b"] >= 2
+
+
+class _TimedRealRunner(RealRunner):
+    """Notes the clock when set-up ends and the schedule is queued."""
+
+    def _schedule(self):
+        queued = super()._schedule()
+        self.scheduled_at = self.clock.now()
+        return queued
+
+
+def test_real_clock_runs_interference_and_ticks_on_its_schedule(monkeypatch):
+    timers = []
+
+    class CountingTimer(threading.Timer):
+        def __init__(self, *args, **kwargs):
+            timers.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Timer", CountingTimer)
+    interval = 0.25
+    config = small_scenario(interference="high", duration=1.5, rate=12.0, seed=21)
+    config = dataclasses.replace(
+        config,
+        workload=WorkloadSettings(rate_per_s=12.0, timeout_s=5.0),
+        slo=SloSettings(boundary_pages_per_s=4950.0, sample_interval_s=interval),
+        interference=(dataclasses.replace(config.interference[0], windows=((0.5, 1.0),)),),
+    )
+    runner = _TimedRealRunner(config)
+    report = runner.run()
+    assert timers == []
+    assert report.completed > 0
+    rows = [row for row in report.epc_rows if row.split(",")[1] == "node-a"]
+    assert len(rows) == int(config.duration_s / interval) + 1
+    for k, row in enumerate(rows):
+        due = k * interval
+        ts = float(row.split(",")[0])
+        # no tick runs early; one overdue at the end of set-up runs at once
+        assert due <= ts < max(due, runner.scheduled_at) + 0.1
+        assert ("stress-node-a" in row) == (0.5 <= due < 1.0)
+
+
+def test_real_request_that_ends_after_its_timeout_is_recorded_timed_out(monkeypatch):
+    timeout_s = 0.5
+
+    def slow_server_handshake(*args, **kwargs):
+        time.sleep(0.6 * timeout_s)  # the ServerHello comes 0.3 s late
+        return server_handshake(*args, **kwargs)
+
+    def slow_serve_inference(self, payload, *, base_time=None):
+        return bytes(payload), 0.6 * timeout_s
+
+    monkeypatch.setattr(runner_real, "server_handshake", slow_server_handshake)
+    monkeypatch.setattr(ModelServerReplica, "serve_inference", slow_serve_inference)
+    config = small_scenario(duration=1.0, rate=4.0, seed=21)
+    config = dataclasses.replace(
+        config, workload=WorkloadSettings(rate_per_s=4.0, timeout_s=timeout_s)
+    )
+    runner = RealRunner(config)
+    report = runner.run()
+    assert report.sent > 0 and report.rejected == 0
+    # each handshake finished inside the deadline; each response came after it
+    assert runner.handshakes_full + runner.handshakes_resumed == report.sent
+    assert report.completed == 0
+    assert report.timed_out == report.sent
+    assert all(r.latency == timeout_s for r in report.records)

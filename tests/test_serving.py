@@ -11,6 +11,7 @@ from enclaveserve.aecs import AecsDeployment, AecsReplica, MemoryStore
 from enclaveserve.aecs.service import AECS_MEASUREMENT
 from enclaveserve.channel import client_handshake, open_record, seal_record
 from enclaveserve.channel.transport import SocketTransport
+from enclaveserve.harness.runner_real import _ReplicaListener
 from enclaveserve.serving import (
     Endpoint,
     NoEligibleEndpoint,
@@ -20,7 +21,6 @@ from enclaveserve.serving import (
     crash_replica,
     decode_inference_response,
     replica_cpu_utilization,
-    serve_connection,
     start_replica,
 )
 from enclaveserve.substrate.node import EnclaveSpec, MIB
@@ -326,20 +326,16 @@ def test_serve_connection_over_loopback_socket(stack):
     _, nodes, client = stack
     replica = start(client, nodes[0], "r0", base=0.001)
     expected = client.get_certificate("svc")
-    left, right = socket.socketpair()
-    server = threading.Thread(
-        target=serve_connection,
-        args=(replica, SocketTransport(right), random.Random(5), nodes[0].clock),
-        kwargs={"max_requests": 1},
-    )
-    server.start()
-    transport = SocketTransport(left)
-    session = client_handshake(transport, expected, random.Random(6))
-    transport.send_frame(seal_record(session, b"image-bytes"))
-    response = open_record(session, transport.recv_frame(5.0))
-    server.join()
+    listener = _ReplicaListener(replica, nodes[0].clock, lambda: random.Random(5))
+    try:
+        with socket.create_connection(("127.0.0.1", listener.port), timeout=5.0) as sock:
+            transport = SocketTransport(sock)
+            session = client_handshake(transport, expected, random.Random(6))
+            transport.send_frame(seal_record(session, b"image-bytes"))
+            response = open_record(session, transport.recv_frame(5.0))
+    finally:
+        listener.stop()
     payload, service_time = decode_inference_response(response)
     assert payload == b"image-bytes"
     assert service_time == pytest.approx(0.001)
-    left.close()
-    right.close()
+    assert replica.active_connections == 0

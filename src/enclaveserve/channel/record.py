@@ -7,6 +7,12 @@ associated data together with the transcript hash, so it cannot be
 altered. Receivers demand exactly the next sequence number: a smaller
 one is a replay, a larger one means the stream lost or reordered records,
 which is treated as tampering.
+
+`seal_record` and `open_record` return bytes, or, given a writable buffer
+`out`, write the record (or the plaintext) to the start of `out` and
+return a memoryview of those bytes. The caller owns `out`: the view is
+valid until the caller writes to `out` again, so anything that must
+outlive that (a traffic capture, say) takes a `bytes` copy.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from .. import crypto
 from .errors import RecordTampered, ReplayDetected
 
 _MAGIC = b"rec1"
-_HEADER_LEN = len(_MAGIC) + 8
+_HEADER = struct.Struct(">4sQ")
+# a sealed record is its plaintext plus this many bytes
+RECORD_OVERHEAD = _HEADER.size + crypto.TAG_LEN
 
 
 @dataclass
@@ -37,26 +45,42 @@ class Session:
         return b"record" + struct.pack(">Q", seq) + self.transcript_hash
 
 
-def seal_record(session: Session, plaintext: bytes) -> bytes:
+def _prefix(out, size: int) -> memoryview:
+    if len(out) < size:
+        raise ValueError(f"out holds {len(out)} bytes, {size} needed")
+    return memoryview(out)[:size]
+
+
+def seal_record(session: Session, plaintext, out=None):
     seq = session.send_seq
     nonce = crypto.counter_nonce(seq)
-    ct = crypto.aead_encrypt(session.send_key, nonce, plaintext, aad=session._aad(seq))
+    aad = session._aad(seq)
+    if out is None:
+        ct = crypto.aead_encrypt(session.send_key, nonce, plaintext, aad=aad)
+        record = _HEADER.pack(_MAGIC, seq) + ct
+    else:
+        record = _prefix(out, len(plaintext) + RECORD_OVERHEAD)
+        _HEADER.pack_into(record, 0, _MAGIC, seq)
+        body = record[_HEADER.size :]
+        crypto.aead_encrypt(session.send_key, nonce, plaintext, aad=aad, out=body)
     session.send_seq = seq + 1
-    return _MAGIC + struct.pack(">Q", seq) + ct
+    return record
 
 
-def open_record(session: Session, record: bytes) -> bytes:
-    if len(record) < _HEADER_LEN + crypto.TAG_LEN or not record.startswith(_MAGIC):
+def open_record(session: Session, record, out=None):
+    if len(record) < RECORD_OVERHEAD or record[: len(_MAGIC)] != _MAGIC:
         raise RecordTampered("malformed record")
     (seq,) = struct.unpack_from(">Q", record, len(_MAGIC))
     if seq < session.recv_seq:
         raise ReplayDetected(f"record seq {seq} already consumed")
     if seq > session.recv_seq:
         raise RecordTampered(f"sequence gap: expected {session.recv_seq}, got {seq}")
+    if out is not None:
+        out = _prefix(out, len(record) - RECORD_OVERHEAD)
     nonce = crypto.counter_nonce(seq)
     try:
         plaintext = crypto.aead_decrypt(
-            session.recv_key, nonce, record[_HEADER_LEN:], aad=session._aad(seq)
+            session.recv_key, nonce, record[_HEADER.size :], aad=session._aad(seq), out=out
         )
     except crypto.DecryptionError as exc:
         raise RecordTampered("record failed authentication") from exc

@@ -79,14 +79,29 @@ def verify_signature(public_raw: bytes, signature: bytes, message: bytes) -> boo
         return False
 
 
-def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    return AESGCM(key).encrypt(nonce, plaintext, aad)
+def aead_encrypt(key: bytes, nonce: bytes, plaintext, aad: bytes = b"", out=None):
+    """Ciphertext and tag as bytes; given `out`, a writable buffer of
+    exactly len(plaintext) + TAG_LEN bytes, they are written there and
+    `out` is returned."""
+    if out is None:
+        return AESGCM(key).encrypt(nonce, plaintext, aad)
+    AESGCM(key).encrypt_into(nonce, plaintext, aad, out)
+    return out
 
 
-def aead_decrypt(key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
+def aead_decrypt(key: bytes, nonce: bytes, ciphertext, aad: bytes = b"", out=None):
+    """Plaintext as bytes; given `out`, a writable buffer of exactly
+    len(ciphertext) - TAG_LEN bytes, it is written there and `out` is
+    returned. On failure `out` is zeroed, so it never holds unauthenticated
+    plaintext."""
     try:
-        return AESGCM(key).decrypt(nonce, ciphertext, aad)
+        if out is None:
+            return AESGCM(key).decrypt(nonce, ciphertext, aad)
+        AESGCM(key).decrypt_into(nonce, ciphertext, aad, out)
+        return out
     except InvalidTag as exc:
+        if out is not None:
+            out[:] = bytes(len(out))
         raise DecryptionError("authentication tag mismatch") from exc
 
 

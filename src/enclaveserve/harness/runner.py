@@ -35,7 +35,7 @@ from .. import crypto
 from ..aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
 from ..aecs.store import MemoryStore, UntrustedStore
 from ..channel.handshake import TicketCache, handshake_in_process
-from ..channel.record import Session, open_record, seal_record
+from ..channel.record import RECORD_OVERHEAD, Session, open_record, seal_record
 from ..clock import EventLoop
 from ..control.autoscale import Autoscaler, ScalePolicy
 from ..control.errors import NodeUnreachable
@@ -46,8 +46,8 @@ from ..profiles import ModelProfile
 from ..serving.errors import NoEligibleEndpoint
 from ..serving.frontend import Endpoint, VirtualService
 from ..serving.replica import (
+    RESPONSE_HEADER,
     ModelServerReplica,
-    encode_inference_response,
     replica_cpu_utilization,
     start_replica,
 )
@@ -352,12 +352,16 @@ class ClusterRunner:
 
 @dataclass
 class _Request:
+    """One virtual request. Its timeout event holds it for `timeout_s`, so
+    completion lets go of its buffer and sessions."""
+
     index: int
     send_ts: float
     endpoint: Endpoint
-    client_session: Session
-    server_session: Session
-    payload: bytes
+    client_session: Session | None
+    server_session: Session | None
+    # RESPONSE_HEADER.size bytes of headroom, then the payload the server opened
+    buffer: bytearray | None
     token: int = 0
     service_time: float = 0.0
     completed: bool = False
@@ -401,13 +405,22 @@ class _ReplicaServer:
 
 class VirtualRunner(ClusterRunner):
     """The shared core driven by one event loop, with requests served in
-    process."""
+    process.
+
+    Records are sealed into one runner-owned wire buffer and opened into
+    request buffers that a free list recycles, so a run reuses a few
+    payload-sized buffers instead of allocating and freeing several per
+    request.
+    """
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
         self.loop = EventLoop()
         super().__init__(config, self.loop, store)
         self.jitter_rng = crypto.derived_rng(config.seed, "service-jitter")
         self._servers: dict[str, _ReplicaServer] = {}
+        self._buffer_size = RESPONSE_HEADER.size + config.workload.payload_bytes
+        self._wire = bytearray(self._buffer_size + RECORD_OVERHEAD)  # the largest record
+        self._free_buffers: list[bytearray] = []
 
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
         replica = super()._make_replica(replica_id, node_id)
@@ -432,17 +445,18 @@ class VirtualRunner(ClusterRunner):
         )
         self._count_handshake(client_session)
         payload = request_payload(spec, index)
-        wire_record = seal_record(client_session, payload)
+        wire_record = seal_record(client_session, payload, out=self._wire)
         if self._capture is not None:
-            self._capture.append(wire_record)
-        server_payload = open_record(server_session, wire_record)
+            self._capture.append(bytes(wire_record))
+        buffer = self._free_buffers.pop() if self._free_buffers else bytearray(self._buffer_size)
+        open_record(server_session, wire_record, out=memoryview(buffer)[RESPONSE_HEADER.size :])
         req = _Request(
             index=index,
             send_ts=now,
             endpoint=endpoint,
             client_session=client_session,
             server_session=server_session,
-            payload=server_payload,
+            buffer=buffer,
         )
         self._servers[endpoint.endpoint_id].submit(req)
         self.loop.call_later(spec.timeout_s, partial(self._time_out, req, spec.timeout_s))
@@ -464,12 +478,15 @@ class VirtualRunner(ClusterRunner):
 
     def complete_request(self, req: _Request) -> None:
         now = self.loop.now()
-        response = seal_record(
-            req.server_session, encode_inference_response(req.payload, req.service_time)
-        )
+        buffer = req.buffer
+        # the response, service_time ‖ payload, is built in place
+        RESPONSE_HEADER.pack_into(buffer, 0, req.service_time)
+        response = seal_record(req.server_session, buffer, out=self._wire)
         if self._capture is not None:
-            self._capture.append(response)
-        open_record(req.client_session, response)
+            self._capture.append(bytes(response))
+        open_record(req.client_session, response, out=buffer)
+        self._free_buffers.append(buffer)
+        req.buffer = req.client_session = req.server_session = None
         self.vs.complete(req.endpoint)
         req.completed = True
         if req.timed_out:
@@ -484,6 +501,11 @@ class VirtualRunner(ClusterRunner):
                 STATUS_OK,
             )
         )
+
+    def _drain(self) -> None:
+        # every request has completed: hand the buffers back
+        self._free_buffers.clear()
+        self._wire.clear()
 
 
 def run_scenario(config: ScenarioConfig, store: UntrustedStore | None = None) -> RunReport:

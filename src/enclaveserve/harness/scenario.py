@@ -53,7 +53,10 @@ from pathlib import Path
 
 import yaml
 
+from ..channel.record import RECORD_OVERHEAD
+from ..channel.transport import MAX_FRAME
 from ..profiles import PRESETS, ModelProfile
+from ..serving.replica import RESPONSE_HEADER
 from .errors import ConfigInvalid
 
 SCALED_DURATION_S = 60.0
@@ -156,6 +159,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigInvalid("cluster needs at least one node")
     if len(set(node_ids)) != len(node_ids):
         raise ConfigInvalid("duplicate node ids")
+    if any(n.cores < 1 or n.epc_mib < 1 for n in config.nodes):
+        raise ConfigInvalid("node cores and epc_mib must be >= 1")
     if config.duration_s <= 0:
         raise ConfigInvalid("duration_s must be positive")
     if config.model not in PRESETS:
@@ -174,6 +179,9 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigInvalid("duplicate replica ids")
     if not config.aecs_placements:
         raise ConfigInvalid("need at least one keystore replica")
+    aecs_ids = [p.replica_id for p in config.aecs_placements]
+    if len(set(aecs_ids)) != len(aecs_ids):
+        raise ConfigInvalid("duplicate keystore replica ids")
     if config.algorithm == "sgx_aware" and config.slo is None:
         raise ConfigInvalid("sgx_aware scheduling requires policies.slo")
     if config.slo is not None:
@@ -193,6 +201,11 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
             raise ConfigInvalid("autoscale target_utilization must be in (0, 1], cooldown_s >= 0")
     if config.workload.rate_per_s <= 0 or config.workload.timeout_s <= 0:
         raise ConfigInvalid("workload rate and timeout must be positive")
+    if config.workload.payload_bytes < 1:
+        raise ConfigInvalid("workload payload_bytes must be >= 1")
+    # the response record, the larger of the two, must fit one frame
+    if config.workload.payload_bytes + RESPONSE_HEADER.size + RECORD_OVERHEAD > MAX_FRAME:
+        raise ConfigInvalid(f"workload payload_bytes too large for a {MAX_FRAME}-byte frame")
     for script in config.interference:
         if script.node_id not in node_ids:
             raise ConfigInvalid(f"interference references unknown node {script.node_id!r}")

@@ -150,11 +150,16 @@ def crash_replica(replica: ModelServerReplica) -> None:
 
 # -- inference response ----------------------------------------------------------------
 
+# `service_time ‖ payload`: the header comes first, so a response can be
+# built in place ahead of a payload that already sits in a buffer
+RESPONSE_HEADER = struct.Struct(">d")
+
+
 def encode_inference_response(payload: bytes, service_time: float) -> bytes:
-    return struct.pack(">d", service_time) + payload
+    return RESPONSE_HEADER.pack(service_time) + payload
 
 
 def decode_inference_response(plaintext: bytes) -> tuple[bytes, float]:
-    (service_time,) = struct.unpack_from(">d", plaintext, 0)
-    return plaintext[8:], service_time
+    (service_time,) = RESPONSE_HEADER.unpack_from(plaintext, 0)
+    return plaintext[RESPONSE_HEADER.size :], service_time
 

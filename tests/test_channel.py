@@ -31,6 +31,7 @@ from enclaveserve.channel import (
     seal_record,
     server_handshake,
 )
+from enclaveserve.channel.record import RECORD_OVERHEAD
 from enclaveserve.channel.transport import SocketTransport, WiretapTransport
 
 
@@ -335,47 +336,105 @@ def _session_pair(seed=20):
     return handshake_in_process(pki.certificate, pki, random.Random(seed), random.Random(seed + 1))
 
 
+def _seal_into(session, plaintext):
+    # into a buffer larger than the record, as a reused wire buffer would be
+    return seal_record(session, plaintext, out=bytearray(len(plaintext) + RECORD_OVERHEAD + 7))
+
+
+def _open_into(session, record):
+    out = bytearray(len(record) + 3)
+    plaintext = open_record(session, memoryview(bytearray(record)), out=out)
+    assert plaintext.obj is out
+    return bytes(plaintext)
+
+
+# every record test runs on the bytes path and on the out= buffer path
+RECORD_PATHS = [(seal_record, open_record), (_seal_into, _open_into)]
+
+
 def test_record_roundtrip():
-    client, server = _session_pair()
-    assert open_record(server, seal_record(client, b"payload")) == b"payload"
-    assert open_record(client, seal_record(server, b"response")) == b"response"
+    for seal, open_ in RECORD_PATHS:
+        client, server = _session_pair()
+        assert open_(server, seal(client, b"payload")) == b"payload"
+        assert open_(client, seal(server, b"response")) == b"response"
+    # both paths produce the same record bytes
+    (a, _), (b, _) = _session_pair(), _session_pair()
+    assert seal_record(a, b"same") == bytes(_seal_into(b, b"same"))
 
 
 def test_record_replay_rejected():
-    client, server = _session_pair()
-    record = seal_record(client, b"m")
-    open_record(server, record)
-    with pytest.raises(ReplayDetected):
-        open_record(server, record)
+    for seal, open_ in RECORD_PATHS:
+        client, server = _session_pair()
+        record = seal(client, b"m")
+        open_(server, record)
+        with pytest.raises(ReplayDetected):
+            open_(server, record)
 
 
 def test_record_reorder_rejected():
-    client, server = _session_pair()
-    first = seal_record(client, b"one")
-    second = seal_record(client, b"two")
-    with pytest.raises(RecordTampered):
-        open_record(server, second)
-    assert open_record(server, first) == b"one"
+    for seal, open_ in RECORD_PATHS:
+        client, server = _session_pair()
+        first = bytes(seal(client, b"one"))
+        second = seal(client, b"two")
+        with pytest.raises(RecordTampered):
+            open_(server, second)
+        assert open_(server, first) == b"one"
 
 
 def test_record_any_single_byte_mutation_rejected():
-    rng = random.Random(7)
+    for seal, open_ in RECORD_PATHS:
+        rng = random.Random(7)
+        client, server = _session_pair()
+        for _ in range(300):
+            record = seal(client, bytes(rng.randbytes(rng.randrange(1, 64))))
+            with pytest.raises((RecordTampered, ReplayDetected)):
+                open_(server, _flip(record, rng))
+            # the untampered record still arrives in order
+            assert open_(server, record) is not None
+
+
+def test_record_truncation_rejected():
+    for seal, open_ in RECORD_PATHS:
+        client, server = _session_pair()
+        record = bytes(seal(client, b"truncate me"))
+        for cut in (0, 3, 4, 11, RECORD_OVERHEAD - 1, RECORD_OVERHEAD, len(record) - 1):
+            with pytest.raises(RecordTampered):
+                open_(server, record[:cut])
+        assert open_(server, record) == b"truncate me"
+
+
+def test_record_too_small_out_raises_before_the_sequence_moves():
     client, server = _session_pair()
-    for _ in range(300):
-        record = seal_record(client, bytes(rng.randbytes(rng.randrange(1, 64))))
-        with pytest.raises((RecordTampered, ReplayDetected)):
-            open_record(server, _flip(record, rng))
-        # the untampered record still arrives in order
-        assert open_record(server, record) is not None
+    with pytest.raises(ValueError):
+        seal_record(client, b"payload", out=bytearray(len(b"payload") + RECORD_OVERHEAD - 1))
+    assert client.send_seq == 0
+    record = seal_record(client, b"payload")
+    with pytest.raises(ValueError):
+        open_record(server, record, out=bytearray(len(b"payload") - 1))
+    assert server.recv_seq == 0
+    assert bytes(open_record(server, record, out=bytearray(len(b"payload")))) == b"payload"
+    assert server.recv_seq == 1
+
+
+def test_record_failed_open_leaves_no_plaintext_in_out():
+    client, server = _session_pair()
+    record = bytearray(seal_record(client, b"secret payload"))
+    record[-1] ^= 1  # tag only: the ciphertext still decrypts to the plaintext
+    out = bytearray(b"\xaa" * 20)
+    with pytest.raises(RecordTampered):
+        open_record(server, record, out=out)
+    assert out == bytes(14) + b"\xaa" * 6
+    assert server.recv_seq == 0
 
 
 def test_sessions_are_independent():
-    a_client, a_server = _session_pair(seed=30)
-    b_client, b_server = _session_pair(seed=40)
-    record = seal_record(a_client, b"cross")
-    with pytest.raises(RecordTampered):
-        open_record(b_server, record)
-    assert open_record(a_server, record) == b"cross"
+    for seal, open_ in RECORD_PATHS:
+        a_client, a_server = _session_pair(seed=30)
+        b_client, b_server = _session_pair(seed=40)
+        record = seal(a_client, b"cross")
+        with pytest.raises(RecordTampered):
+            open_(b_server, record)
+        assert open_(a_server, record) == b"cross"
 
 
 def test_distinct_sessions_run_concurrently():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enclaveserve.channel.handshake import server_handshake
+from enclaveserve.channel.transport import MAX_FRAME
 from enclaveserve.cli import main as cli_main
+from enclaveserve.control import profile_boundary
 from enclaveserve.harness import (
     ConfigInvalid,
     EmptySamples,
@@ -30,9 +33,10 @@ from enclaveserve.harness.report import (
     summarize_dir,
 )
 from enclaveserve.harness import runner_real
-from enclaveserve.harness.runner import VirtualRunner
+from enclaveserve.harness.runner import VirtualRunner, _Request
 from enclaveserve.harness.runner_real import RealRunner
 from enclaveserve.harness.scenario import (
+    PROFILED_BOUNDARIES,
     AutoscaleSettings,
     InterferenceSettings,
     SloSettings,
@@ -162,6 +166,11 @@ def test_yaml_roundtrip(tmp_path):
         (lambda raw: raw["service"]["replicas"].append({"id": "r9", "node": "ghost"}), "node"),
         (lambda raw: raw.update(duration_s=-1), "duration"),
         (lambda raw: raw.pop("workload"), "workload"),
+        (lambda raw: raw["workload"].update(payload_bytes=0), "payload"),
+        (lambda raw: raw["workload"].update(payload_bytes=MAX_FRAME - 35), "frame"),
+        (lambda raw: raw["cluster"]["nodes"][0].update(cores=0), "cores"),
+        (lambda raw: raw["cluster"]["nodes"][0].update(epc_mib=0), "epc"),
+        (lambda raw: raw["aecs"]["replicas"].append({"id": "a0", "node": "n1"}), "keystore-ids"),
     ],
 )
 def test_config_invalid_cases(mutate, message):
@@ -181,6 +190,32 @@ def test_config_invalid_cases(mutate, message):
     mutate(raw)
     with pytest.raises(ConfigInvalid):
         from_dict(raw)
+
+
+def test_largest_payload_whose_response_record_fits_a_frame_is_accepted():
+    # the response record is service_time (8) + payload + header (12) + tag (16)
+    raw = yaml.safe_load(SCENARIOS.joinpath("lb-low-mobilenet-rr.yaml").read_text())
+    raw["workload"]["payload_bytes"] = MAX_FRAME - 36
+    assert from_dict(raw).workload.payload_bytes == MAX_FRAME - 36
+    raw["workload"]["payload_bytes"] = MAX_FRAME - 35
+    with pytest.raises(ConfigInvalid):
+        from_dict(raw)
+
+
+def test_pinned_slo_boundaries_match_the_profiler():
+    boundaries = {
+        model: profile_boundary(PRESETS[model], PRESETS[model].slo_s)[1]
+        for model in PROFILED_BOUNDARIES
+    }
+    for model, pinned in PROFILED_BOUNDARIES.items():
+        assert pinned == pytest.approx(boundaries[model], abs=0.05), model
+    shipped = [load_scenario(path) for path in sorted(SCENARIOS.glob("*.yaml"))]
+    with_slo = [config for config in shipped if config.slo is not None]
+    assert len(with_slo) == 3
+    for config in with_slo:
+        assert config.slo.boundary_pages_per_s == pytest.approx(
+            boundaries[config.model], abs=0.05
+        ), config.name
 
 
 def test_interference_windows_must_not_overlap():
@@ -280,6 +315,74 @@ def test_one_full_handshake_then_resumption_on_the_virtual_clock():
     report = runner.run()
     assert runner.handshakes_full == 1
     assert runner.handshakes_full + runner.handshakes_resumed == report.sent - report.rejected
+
+
+def test_virtual_capture_holds_byte_copies_and_replays_identically():
+    config = dataclasses.replace(small_scenario(duration=3.0), capture_traffic=True)
+    captures = []
+    for _ in range(2):
+        runner = VirtualRunner(config)
+        report = runner.run()
+        captures.append(runner.traffic_capture)
+    assert all(type(blob) is bytes for blob in captures[0] + captures[1])
+    assert captures[0] == captures[1]
+    # a request record and a response record per served request, all distinct
+    records = [blob for blob in captures[0] if blob.startswith(b"rec1")]
+    assert len(records) == 2 * (report.sent - report.rejected)
+    assert len(set(records)) == len(records)
+
+
+def _requests_on_heap(loop) -> list[_Request]:
+    found = []
+    for _, _, fn in loop._heap:
+        if isinstance(fn, partial):
+            held = fn.args
+        else:
+            held = [cell.cell_contents for cell in getattr(fn, "__closure__", None) or ()]
+        found.extend(obj for obj in held if isinstance(obj, _Request))
+    return found
+
+
+def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
+    config = dataclasses.replace(
+        small_scenario(duration=6.0),
+        workload=WorkloadSettings(rate_per_s=60.0, payload_bytes=224 * 224 * 3),
+    )
+    runner = VirtualRunner(config)
+    runner._build_cluster(tmp_path)
+    runner._schedule()
+    flight = {"now": 0, "peak": 0, "free_peak": 0}
+    for server in runner._servers.values():
+        def submit(req, submit=server.submit):
+            flight["now"] += 1
+            flight["peak"] = max(flight["peak"], flight["now"])
+            submit(req)
+
+        server.submit = submit
+    complete = runner.complete_request
+
+    def complete_request(req):
+        complete(req)
+        flight["now"] -= 1
+        flight["free_peak"] = max(flight["free_peak"], len(runner._free_buffers))
+
+    runner.complete_request = complete_request
+    runner.loop.run(until=3.0)
+
+    requests = _requests_on_heap(runner.loop)
+    completed = [req for req in requests if req.completed]
+    # each completed request is still held by its 10 s timeout event
+    assert len(completed) > 100
+    for req in completed:
+        assert req.buffer is None
+        assert req.client_session is None and req.server_session is None
+    assert all(req.buffer is not None for req in requests if not req.completed)
+    assert 0 < flight["free_peak"] <= flight["peak"]
+    assert len(runner._free_buffers) + flight["now"] <= flight["peak"]
+
+    runner.loop.run()
+    assert flight["now"] == 0 and flight["free_peak"] <= flight["peak"]
+    assert len(runner.recorder.records()) == runner.recorder.sent
 
 
 def test_connection_counters_drain_to_zero():

@@ -46,6 +46,10 @@ class Certificate:
         return crypto.verify_signature(self.public_key, self.self_signature, self.signed_body())
 
     def encode(self) -> bytes:
+        return self._encoding
+
+    @cached_property
+    def _encoding(self) -> bytes:
         return self.signed_body() + self.self_signature
 
     @classmethod

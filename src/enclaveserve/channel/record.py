@@ -20,16 +20,22 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from .. import crypto
 from .errors import RecordTampered, ReplayDetected
 
 _MAGIC = b"rec1"
 _HEADER = struct.Struct(">4sQ")
+# the 12-byte AES-GCM nonce: four zero bytes, then the sequence number
+_NONCE = struct.Struct(">4xQ")
+_AAD = struct.Struct(">6sQ")
 # a sealed record is its plaintext plus this many bytes
 RECORD_OVERHEAD = _HEADER.size + crypto.TAG_LEN
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """One established connection's keys and counters. Not shareable across
     logical connections; distinct sessions are fully independent."""
@@ -41,8 +47,9 @@ class Session:
     recv_seq: int = 0
     resumed: bool = False  # keys came from a PSK ticket rather than a certificate
 
-    def _aad(self, seq: int) -> bytes:
-        return b"record" + struct.pack(">Q", seq) + self.transcript_hash
+
+def _aad(session: Session, seq: int) -> bytes:
+    return _AAD.pack(b"record", seq) + session.transcript_hash
 
 
 def _prefix(out, size: int) -> memoryview:
@@ -53,16 +60,15 @@ def _prefix(out, size: int) -> memoryview:
 
 def seal_record(session: Session, plaintext, out=None):
     seq = session.send_seq
-    nonce = crypto.counter_nonce(seq)
-    aad = session._aad(seq)
+    aead = AESGCM(session.send_key)
     if out is None:
-        ct = crypto.aead_encrypt(session.send_key, nonce, plaintext, aad=aad)
-        record = _HEADER.pack(_MAGIC, seq) + ct
+        record = _HEADER.pack(_MAGIC, seq) + aead.encrypt(
+            _NONCE.pack(seq), plaintext, _aad(session, seq)
+        )
     else:
         record = _prefix(out, len(plaintext) + RECORD_OVERHEAD)
         _HEADER.pack_into(record, 0, _MAGIC, seq)
-        body = record[_HEADER.size :]
-        crypto.aead_encrypt(session.send_key, nonce, plaintext, aad=aad, out=body)
+        aead.encrypt_into(_NONCE.pack(seq), plaintext, _aad(session, seq), record[_HEADER.size :])
     session.send_seq = seq + 1
     return record
 
@@ -70,19 +76,23 @@ def seal_record(session: Session, plaintext, out=None):
 def open_record(session: Session, record, out=None):
     if len(record) < RECORD_OVERHEAD or record[: len(_MAGIC)] != _MAGIC:
         raise RecordTampered("malformed record")
-    (seq,) = struct.unpack_from(">Q", record, len(_MAGIC))
+    _, seq = _HEADER.unpack_from(record)
     if seq < session.recv_seq:
         raise ReplayDetected(f"record seq {seq} already consumed")
     if seq > session.recv_seq:
         raise RecordTampered(f"sequence gap: expected {session.recv_seq}, got {seq}")
-    if out is not None:
-        out = _prefix(out, len(record) - RECORD_OVERHEAD)
-    nonce = crypto.counter_nonce(seq)
+    aead = AESGCM(session.recv_key)
+    nonce, aad, body = _NONCE.pack(seq), _aad(session, seq), record[_HEADER.size :]
+    plaintext = None if out is None else _prefix(out, len(record) - RECORD_OVERHEAD)
     try:
-        plaintext = crypto.aead_decrypt(
-            session.recv_key, nonce, record[_HEADER.size :], aad=session._aad(seq), out=out
-        )
-    except crypto.DecryptionError as exc:
+        if plaintext is None:
+            plaintext = aead.decrypt(nonce, body, aad)
+        else:
+            aead.decrypt_into(nonce, body, aad, plaintext)
+    except InvalidTag as exc:
+        if out is not None:
+            # decrypt_into can leave unauthenticated plaintext in `out`
+            plaintext[:] = bytes(len(plaintext))
         raise RecordTampered("record failed authentication") from exc
     session.recv_seq = seq + 1
     return plaintext

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-import struct
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -60,15 +59,11 @@ def new_exchange_key(rng: random.Random) -> X25519PrivateKey:
 
 
 def signing_public_bytes(key: Ed25519PublicKey) -> bytes:
-    from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-
-    return key.public_bytes(Encoding.Raw, PublicFormat.Raw)
+    return key.public_bytes_raw()
 
 
 def exchange_public_bytes(key: X25519PublicKey) -> bytes:
-    from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-
-    return key.public_bytes(Encoding.Raw, PublicFormat.Raw)
+    return key.public_bytes_raw()
 
 
 def verify_signature(public_raw: bytes, signature: bytes, message: bytes) -> bool:
@@ -79,38 +74,15 @@ def verify_signature(public_raw: bytes, signature: bytes, message: bytes) -> boo
         return False
 
 
-def aead_encrypt(key: bytes, nonce: bytes, plaintext, aad: bytes = b"", out=None):
-    """Ciphertext and tag as bytes; given `out`, a writable buffer of
-    exactly len(plaintext) + TAG_LEN bytes, they are written there and
-    `out` is returned."""
-    if out is None:
-        return AESGCM(key).encrypt(nonce, plaintext, aad)
-    AESGCM(key).encrypt_into(nonce, plaintext, aad, out)
-    return out
+def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    return AESGCM(key).encrypt(nonce, plaintext, aad)
 
 
-def aead_decrypt(key: bytes, nonce: bytes, ciphertext, aad: bytes = b"", out=None):
-    """Plaintext as bytes; given `out`, a writable buffer of exactly
-    len(ciphertext) - TAG_LEN bytes, it is written there and `out` is
-    returned. On failure `out` is zeroed, so it never holds unauthenticated
-    plaintext."""
+def aead_decrypt(key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
     try:
-        if out is None:
-            return AESGCM(key).decrypt(nonce, ciphertext, aad)
-        AESGCM(key).decrypt_into(nonce, ciphertext, aad, out)
-        return out
+        return AESGCM(key).decrypt(nonce, ciphertext, aad)
     except InvalidTag as exc:
-        if out is not None:
-            out[:] = bytes(len(out))
         raise DecryptionError("authentication tag mismatch") from exc
-
-
-def counter_nonce(counter: int, prefix: bytes = b"") -> bytes:
-    """12-byte nonce from a monotone counter; never reuse a counter per key."""
-    pad = NONCE_LEN - len(prefix) - 8
-    if pad < 0:
-        raise ValueError("nonce prefix too long")
-    return prefix + b"\x00" * pad + struct.pack(">Q", counter)
 
 
 # Sealed-box style public-key encryption: an ephemeral X25519 share plus

@@ -9,10 +9,11 @@ runner's clock, queued in that order, and `run()` runs that clock until
 every event has fired. A runner for one clock adds only its request path.
 
 The virtual runner's clock is an `EventLoop` that jumps from event to
-event: replica service completions and request timeouts are events on it
-too. Runs are single-threaded and every random draw comes from streams
-derived from the scenario seed, so a (scenario, seed) pair replays to the
-byte.
+event: replica service completions are events on it too. A request has no
+timeout event: its completion, which every accepted request reaches,
+decides whether it came after its deadline. Runs are single-threaded and
+every random draw comes from streams derived from the scenario seed, so a
+(scenario, seed) pair replays to the byte.
 
 Each request is one L4 connection: the frontend picks a backend, the
 client handshakes against the service certificate (a full handshake on
@@ -350,22 +351,20 @@ class ClusterRunner:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Request:
-    """One virtual request. Its timeout event holds it for `timeout_s`, so
-    completion lets go of its buffer and sessions."""
+    """One virtual request, held by its server's queue or completion event
+    until it completes; nothing refers to it after that."""
 
     index: int
     send_ts: float
     endpoint: Endpoint
-    client_session: Session | None
-    server_session: Session | None
+    client_session: Session
+    server_session: Session
     # RESPONSE_HEADER.size bytes of headroom, then the payload the server opened
-    buffer: bytearray | None
+    buffer: bytearray
     token: int = 0
     service_time: float = 0.0
-    completed: bool = False
-    timed_out: bool = False
 
 
 class _ReplicaServer:
@@ -392,7 +391,7 @@ class _ReplicaServer:
         base = self.runner.profile.sample_base_time(self.runner.jitter_rng)
         # paging is read at service start, as the latency contract requires
         req.service_time = self.replica.compute_service_time(base)
-        loop.call_later(req.service_time, lambda: self._finish(req))
+        loop.call_later(req.service_time, partial(self._finish, req))
 
     def _finish(self, req: _Request) -> None:
         now = self.runner.loop.now()
@@ -410,7 +409,8 @@ class VirtualRunner(ClusterRunner):
     Records are sealed into one runner-owned wire buffer and opened into
     request buffers that a free list recycles, so a run reuses a few
     payload-sized buffers instead of allocating and freeing several per
-    request.
+    request. A request is recorded when its server completes it, as timed
+    out if that is at or after its deadline.
     """
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
@@ -459,22 +459,6 @@ class VirtualRunner(ClusterRunner):
             buffer=buffer,
         )
         self._servers[endpoint.endpoint_id].submit(req)
-        self.loop.call_later(spec.timeout_s, partial(self._time_out, req, spec.timeout_s))
-
-    def _time_out(self, req: _Request, timeout_s: float) -> None:
-        if req.completed or req.timed_out:
-            return
-        req.timed_out = True
-        self.recorder.record(
-            RequestRecord(
-                req.index,
-                req.send_ts,
-                req.send_ts + timeout_s,
-                req.endpoint.endpoint_id,
-                timeout_s,
-                STATUS_TIMEOUT,
-            )
-        )
 
     def complete_request(self, req: _Request) -> None:
         now = self.loop.now()
@@ -486,21 +470,19 @@ class VirtualRunner(ClusterRunner):
             self._capture.append(bytes(response))
         open_record(req.client_session, response, out=buffer)
         self._free_buffers.append(buffer)
-        req.buffer = req.client_session = req.server_session = None
         self.vs.complete(req.endpoint)
-        req.completed = True
-        if req.timed_out:
-            return  # client gave up; the late response is dropped
-        self.recorder.record(
-            RequestRecord(
-                req.index,
-                req.send_ts,
-                now,
-                req.endpoint.endpoint_id,
-                now - req.send_ts,
-                STATUS_OK,
+        timeout_s = self.config.workload.timeout_s
+        deadline = req.send_ts + timeout_s
+        if now >= deadline:
+            # the client gave up at its deadline; the late response is dropped
+            record = RequestRecord(
+                req.index, req.send_ts, deadline, req.endpoint.endpoint_id, timeout_s, STATUS_TIMEOUT
             )
-        )
+        else:
+            record = RequestRecord(
+                req.index, req.send_ts, now, req.endpoint.endpoint_id, now - req.send_ts, STATUS_OK
+            )
+        self.recorder.record(record)
 
     def _drain(self) -> None:
         # every request has completed: hand the buffers back

@@ -9,11 +9,14 @@ its request, and replicas listen on loopback TCP ports and serve each
 connection on its own thread. A request is one connection carrying a
 handshake (resumed once the runner's ticket cache holds a ticket) and
 encrypted records, all within one deadline of `timeout_s` from its send;
-service time is spent sleeping. `policies.autoscale` is rejected with
-`ConfigInvalid` (the listeners do not follow a reconciler); every other
-scenario field is honoured, `capture_traffic` by recording the keystore
-RPCs and every frame a client sends or receives. Timing is subject to
-scheduler jitter and runs are not reproducible.
+a request that misses it or fails in any other way is recorded as timed
+out at that deadline. Service time is spent sleeping. Before `run()`
+returns, every listener closes and waits, for a bounded time, for its
+threads to end. `policies.autoscale` is rejected with `ConfigInvalid` (the
+listeners do not follow a reconciler); every other scenario field is
+honoured, `capture_traffic` by recording the keystore RPCs and every frame
+a client sends or receives. Timing is subject to scheduler jitter and runs
+are not reproducible.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ from .runner import ClusterRunner
 from .scenario import ScenarioConfig
 from .workload import WorkloadSpec, generate_arrivals, request_payload
 
+# how long stop() waits for a listener's threads to end
+_STOP_JOIN_S = 5.0
+
+
 class _ReplicaListener:
     """Loopback TCP server for one replica, one thread per connection; each
     connection is a handshake, one request record in and one response record
@@ -68,6 +75,7 @@ class _ReplicaListener:
         self.sock.listen(128)
         self.port = self.sock.getsockname()[1]
         self._stop = threading.Event()
+        self._connections: list[threading.Thread] = []
         self.thread = threading.Thread(target=self._accept_loop, daemon=True)
         self.thread.start()
 
@@ -80,7 +88,11 @@ class _ReplicaListener:
                 continue
             except OSError:
                 return
-            threading.Thread(target=self._serve_one, args=(conn,), daemon=True).start()
+            worker = threading.Thread(target=self._serve_one, args=(conn,), daemon=True)
+            worker.start()
+            # only this thread writes the list; keep the ones stop() may wait for
+            self._connections = [t for t in self._connections if t.is_alive()]
+            self._connections.append(worker)
 
     def _serve_one(self, conn: socket.socket) -> None:
         clock = self.clock
@@ -92,6 +104,8 @@ class _ReplicaListener:
                 )
                 payload = open_record(session, transport.recv_frame(10.0))
                 with self.semaphore:
+                    if self._stop.is_set():
+                        return  # the run is over: nobody waits for this response
                     token = self.replica.begin_request(clock.now())
                     response, service_time = self.replica.serve_inference(payload)
                     time.sleep(service_time)
@@ -103,8 +117,19 @@ class _ReplicaListener:
             pass
 
     def stop(self) -> None:
+        """Close the listening socket and wait, up to _STOP_JOIN_S, for the
+        accept thread and every connection thread. Safe to call again."""
         self._stop.set()
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
+        except OSError:
+            pass  # already closed
         self.sock.close()
+        deadline = time.monotonic() + _STOP_JOIN_S
+        self.thread.join(_STOP_JOIN_S)
+        # the accept loop has returned, so no connection thread is added now
+        for thread in self._connections:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class RealRunner(ClusterRunner):
@@ -189,22 +214,21 @@ class RealRunner(ClusterRunner):
             now = self.clock.now()
             if now > deadline:
                 raise TimeoutError("response arrived after the deadline")
-            self.recorder.record(
-                RequestRecord(index, send_ts, now, endpoint.endpoint_id, now - send_ts, STATUS_OK)
+            record = RequestRecord(
+                index, send_ts, now, endpoint.endpoint_id, now - send_ts, STATUS_OK
             )
-        except (SecureChannelError, OSError):
-            self.recorder.record(
-                RequestRecord(
-                    index,
-                    send_ts,
-                    deadline,
-                    endpoint.endpoint_id,
-                    spec.timeout_s,
-                    STATUS_TIMEOUT,
-                )
+        except Exception as exc:
+            # whatever went wrong, the client gives up at its deadline
+            if not isinstance(exc, (SecureChannelError, OSError)):
+                import logging  # here: the import costs 0.25 MiB that a healthy run never needs
+
+                logging.getLogger(__name__).exception("request %d failed", index)
+            record = RequestRecord(
+                index, send_ts, deadline, endpoint.endpoint_id, spec.timeout_s, STATUS_TIMEOUT
             )
         finally:
             self.vs.complete(endpoint)
+        self.recorder.record(record)
 
 
 def run_scenario_real(config: ScenarioConfig, store: UntrustedStore | None = None) -> RunReport:

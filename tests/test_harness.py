@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import threading
 import time
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,8 @@ from enclaveserve.channel.transport import MAX_FRAME
 from enclaveserve.cli import main as cli_main
 from enclaveserve.control import profile_boundary
 from enclaveserve.harness import (
+    STATUS_OK,
+    STATUS_TIMEOUT,
     ConfigInvalid,
     EmptySamples,
     WorkloadSpec,
@@ -332,17 +334,6 @@ def test_virtual_capture_holds_byte_copies_and_replays_identically():
     assert len(set(records)) == len(records)
 
 
-def _requests_on_heap(loop) -> list[_Request]:
-    found = []
-    for _, _, fn in loop._heap:
-        if isinstance(fn, partial):
-            held = fn.args
-        else:
-            held = [cell.cell_contents for cell in getattr(fn, "__closure__", None) or ()]
-        found.extend(obj for obj in held if isinstance(obj, _Request))
-    return found
-
-
 def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
     config = dataclasses.replace(
         small_scenario(duration=6.0),
@@ -360,29 +351,66 @@ def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
 
         server.submit = submit
     complete = runner.complete_request
+    completed: set[int] = set()
 
     def complete_request(req):
         complete(req)
+        completed.add(req.index)
         flight["now"] -= 1
         flight["free_peak"] = max(flight["free_peak"], len(runner._free_buffers))
 
     runner.complete_request = complete_request
     runner.loop.run(until=3.0)
 
-    requests = _requests_on_heap(runner.loop)
-    completed = [req for req in requests if req.completed]
-    # each completed request is still held by its 10 s timeout event
-    assert len(completed) > 100
-    for req in completed:
-        assert req.buffer is None
-        assert req.client_session is None and req.server_session is None
-    assert all(req.buffer is not None for req in requests if not req.completed)
+    # no completed request is alive, so neither the loop heap nor anything
+    # else holds its buffer or sessions
+    alive = [obj for obj in gc.get_objects() if isinstance(obj, _Request)]
+    assert len(completed) > 100 and 0 < len(alive) == flight["now"]
+    assert not any(req.index in completed for req in alive)
     assert 0 < flight["free_peak"] <= flight["peak"]
     assert len(runner._free_buffers) + flight["now"] <= flight["peak"]
 
     runner.loop.run()
     assert flight["now"] == 0 and flight["free_peak"] <= flight["peak"]
     assert len(runner.recorder.records()) == runner.recorder.sent
+
+
+def test_virtual_request_that_ends_after_its_timeout_is_recorded_timed_out(monkeypatch):
+    timeout_s = 0.5
+    monkeypatch.setattr(
+        ModelServerReplica, "compute_service_time", lambda self, base_time=None: 1.2 * timeout_s
+    )
+    config = dataclasses.replace(
+        small_scenario(duration=3.0), workload=WorkloadSettings(rate_per_s=8.0, timeout_s=timeout_s)
+    )
+    runner = VirtualRunner(config)
+    report = runner.run()
+    assert report.sent > 0 and report.rejected == 0
+    assert report.timed_out == len(report.records) == report.sent
+    for record in report.records:
+        assert record.complete_ts == record.send_ts + timeout_s
+        assert record.latency == timeout_s
+    for endpoint in runner.vs.endpoints():
+        assert endpoint.active_connections == 0
+        assert endpoint.replica.active_connections == 0
+
+
+@pytest.mark.parametrize("early_s, status", [(1e-6, STATUS_OK), (0.0, STATUS_TIMEOUT)])
+def test_virtual_response_exactly_at_its_deadline_is_timed_out(monkeypatch, early_s, status):
+    timeout_s = 0.5
+    monkeypatch.setattr(
+        ModelServerReplica,
+        "compute_service_time",
+        lambda self, base_time=None: timeout_s - early_s,
+    )
+    config = dataclasses.replace(
+        small_scenario(duration=3.0),
+        parallelism=64,  # every request starts service at its send time
+        workload=WorkloadSettings(rate_per_s=8.0, timeout_s=timeout_s),
+    )
+    report = run_scenario(config)
+    assert report.sent > 0 and len(report.records) == report.sent
+    assert all(record.status == status for record in report.records)
 
 
 def test_connection_counters_drain_to_zero():
@@ -702,3 +730,39 @@ def test_real_request_that_ends_after_its_timeout_is_recorded_timed_out(monkeypa
     assert report.completed == 0
     assert report.timed_out == report.sent
     assert all(r.latency == timeout_s for r in report.records)
+
+
+def test_real_request_that_fails_unexpectedly_is_recorded_timed_out(monkeypatch):
+    def broken_decode(response):
+        raise ValueError("undecodable response")
+
+    monkeypatch.setattr(runner_real, "decode_inference_response", broken_decode)
+    timeout_s = 0.5
+    config = dataclasses.replace(
+        small_scenario(duration=1.0, rate=8.0, seed=21),
+        workload=WorkloadSettings(rate_per_s=8.0, timeout_s=timeout_s),
+    )
+    report = RealRunner(config).run()
+    assert report.sent > 0 and report.rejected == 0
+    assert report.timed_out == len(report.records) == report.sent
+    for record in report.records:
+        assert record.complete_ts == record.send_ts + timeout_s
+        assert record.latency == timeout_s
+
+
+def test_real_run_leaves_no_thread_behind(monkeypatch):
+    def slow_serve_inference(self, payload, *, base_time=None):
+        return bytes(payload), 0.1
+
+    # one slot per replica, 100 ms of service and a 50 ms deadline: requests
+    # queue at the replicas and their clients give up
+    monkeypatch.setattr(ModelServerReplica, "serve_inference", slow_serve_inference)
+    config = dataclasses.replace(
+        small_scenario(duration=1.0, rate=40.0, seed=21),
+        parallelism=1,
+        workload=WorkloadSettings(rate_per_s=40.0, timeout_s=0.05),
+    )
+    before = set(threading.enumerate())
+    report = RealRunner(config).run()
+    assert report.timed_out > 0
+    assert [t for t in threading.enumerate() if t not in before] == []

@@ -2,7 +2,10 @@
 
 Only replicas actually taking traffic (weight 1) contribute to the
 aggregate; with nothing in service the count holds, since a controller
-that zeroed every weight gives the scaler no usable signal.
+that zeroed every weight gives the scaler no usable signal. The count the
+scaler starts from is the one the reconciler was last asked for, so a
+replica still draining after a scale-down is not counted back in, and the
+count changes at most once per cooldown.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 count, restart crashes, and drain before stopping on scale-down.
 
 Placement is a static ordered pool of (replica id, node id) slots; the
-first `desired` slots are the target set. Scale-down victims are zeroed
-first and stopped only once their connections drain (or the drain timeout
-passes), so in-flight requests finish cleanly.
+first `desired` slots are the target set, and `desired` is kept for the
+autoscaler to scale from. Scale-down victims get a `drain` hold, the only
+hold the reconciler touches, and are stopped through `stopper` once their
+connections drain (or `DRAIN_TIMEOUT_S` passes); a crashed replica is
+stopped the same way before its restart.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..serving.frontend import Endpoint, VirtualService
-from ..serving.replica import ModelServerReplica, stop_replica
+from ..serving.replica import ModelServerReplica
 from .errors import PlacementFailure
+
+DRAIN_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -27,31 +31,28 @@ class ReconcileAction:
 class Reconciler:
     def __init__(
         self,
-        service_id: str,
         vs: VirtualService,
         placements: list[tuple[str, str]],
         starter: Callable[[str, str], ModelServerReplica],
-        drain_timeout: float = 10.0,
+        stopper: Callable[[ModelServerReplica], None],
     ) -> None:
-        self.service_id = service_id
         self.vs = vs
         self.placements = list(placements)
         self.starter = starter
-        self.drain_timeout = drain_timeout
+        self.stopper = stopper
+        self.desired = 0
         self.replicas: dict[str, ModelServerReplica] = {}
         self._draining: dict[str, float] = {}
 
-    def _start(self, replica_id: str, node_id: str) -> ModelServerReplica:
-        replica = self.starter(replica_id, node_id)
-        self.replicas[replica_id] = replica
+    def _start(self, replica_id: str, node_id: str) -> None:
+        self.replicas[replica_id] = replica = self.starter(replica_id, node_id)
         self.vs.add_endpoint(Endpoint(endpoint_id=replica_id, replica=replica))
-        return replica
 
     def _stop(self, replica_id: str) -> None:
         replica = self.replicas.pop(replica_id)
         self.vs.remove_endpoint(replica_id)
         self._draining.pop(replica_id, None)
-        stop_replica(replica)
+        self.stopper(replica)
 
     def step(self, now: float, desired_count: int) -> list[ReconcileAction]:
         """One reconcile cycle; returns the actions taken, in order."""
@@ -59,6 +60,7 @@ class Reconciler:
             raise PlacementFailure(
                 f"want {desired_count} replicas but only {len(self.placements)} placements"
             )
+        self.desired = desired_count
         actions: list[ReconcileAction] = []
         target = dict(self.placements[:desired_count])
 
@@ -66,13 +68,12 @@ class Reconciler:
         for replica_id in list(self.replicas):
             replica = self.replicas[replica_id]
             if replica_id in target and (replica.crashed or not replica.enclave.running):
-                self.vs.remove_endpoint(replica_id)
-                del self.replicas[replica_id]
+                self._stop(replica_id)
                 self._start(replica_id, target[replica_id])
                 actions.append(ReconcileAction("restart", replica_id, target[replica_id]))
 
         # start missing replicas
-        for replica_id, node_id in self.placements[:desired_count]:
+        for replica_id, node_id in target.items():
             if replica_id not in self.replicas:
                 self._start(replica_id, node_id)
                 actions.append(ReconcileAction("start", replica_id, node_id))
@@ -80,19 +81,17 @@ class Reconciler:
         # drain then stop the excess
         for replica_id in list(self.replicas):
             if replica_id in target:
-                if replica_id in self._draining:
-                    # scale-up rescued a draining replica
-                    self._draining.pop(replica_id)
-                    self.vs.set_weight(replica_id, 1, ts=now, reason="scale-up")
+                if self._draining.pop(replica_id, None) is not None:
+                    # scale-up wants a draining replica back
+                    self.vs.set_hold(replica_id, "drain", False, ts=now, reason="scale-up")
                 continue
             if replica_id not in self._draining:
-                self.vs.set_weight(replica_id, 0, ts=now, reason="scale-down-drain")
+                self.vs.set_hold(replica_id, "drain", True, ts=now, reason="scale-down-drain")
                 self._draining[replica_id] = now
                 actions.append(ReconcileAction("drain", replica_id))
                 continue
-            endpoint = self.vs.endpoint(replica_id)
-            drained = endpoint.active_connections == 0
-            if drained or now - self._draining[replica_id] >= self.drain_timeout:
+            drained = self.vs.endpoint(replica_id).active_connections == 0
+            if drained or now - self._draining[replica_id] >= DRAIN_TIMEOUT_S:
                 node_id = self.replicas[replica_id].node.node_id
                 self._stop(replica_id)
                 actions.append(ReconcileAction("stop", replica_id, node_id))

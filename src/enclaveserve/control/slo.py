@@ -1,11 +1,12 @@
 """The paging-aware SLO controller.
 
 Threshold-based and reactive: when a node's paging throughput stays above
-theta x boundary for N consecutive cycles, new traffic to the replica on
-that node is stopped (weight 0); traffic resumes once no interference
-enclaves other than the replica itself and system enclaves remain on the
-node. A missing sample resets the streak, failing safe toward keeping
-traffic flowing.
+theta x boundary for N consecutive cycles, the replica on that node gets a
+`paging` hold, which stops its new traffic (weight 0); the hold goes once
+no interference enclaves other than the replica itself and system enclaves
+remain on the node. It is the only hold the controller touches, so it
+never undoes a reconciler drain. A missing sample resets the streak,
+failing safe toward keeping traffic flowing.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def observation_from_samples(samples: list[EpcSample]) -> NodeObservation:
 @dataclass(frozen=True)
 class WeightAction:
     endpoint_id: str
-    weight: int
+    weight: int  # the weight the paging hold asks for: 0 adds it, 1 releases it
     reason: str
 
 
@@ -82,7 +83,7 @@ class SloController:
         self.missing_cycles = 0  # cycles in which some node's sample was missing
 
     def step(self, observations: dict[str, NodeObservation], now: float = 0.0) -> list[WeightAction]:
-        """Run one control cycle and return the weight changes issued.
+        """Run one control cycle and return the paging-hold changes issued.
 
         `observations` maps node id -> NodeObservation. Actuation is
         idempotent: re-running a step after a missed tick is harmless.
@@ -104,12 +105,14 @@ class SloController:
             else:
                 streak = 0
             self._streaks[ep.endpoint_id] = streak
-            if ep.weight == 1 and streak >= self.policy.consecutive_cycles:
+            held = "paging" in ep.holds
+            if not held and streak >= self.policy.consecutive_cycles:
                 actions.append(WeightAction(ep.endpoint_id, 0, "paging-above-boundary"))
-            elif ep.weight == 0 and obs.interference_clear(own_enclave):
+            elif held and obs.interference_clear(own_enclave):
                 actions.append(WeightAction(ep.endpoint_id, 1, "interference-clear"))
         if missing:
             self.missing_cycles += 1
         for action in actions:
-            self.vs.set_weight(action.endpoint_id, action.weight, ts=now, reason=action.reason)
+            adding = action.weight == 0
+            self.vs.set_hold(action.endpoint_id, "paging", adding, ts=now, reason=action.reason)
         return actions

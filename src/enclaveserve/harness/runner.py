@@ -4,9 +4,10 @@
 keystore replicas, service PKI, frontend, model replicas, SLO controller,
 autoscaler and reconciler) and the run's one schedule. Interference window
 edges, a control tick every sample interval (node telemetry to the
-controller and autoscaler) and the request sends are events on the
-runner's clock, queued in that order, and `run()` runs that clock until
-every event has fired. A runner for one clock adds only its request path.
+controller and autoscaler, then the reconciler, which also restarts
+crashed replicas) and the request sends are events on the runner's clock,
+queued in that order, and `run()` runs that clock until every event has
+fired. A runner for one clock adds only its request path.
 
 The virtual runner's clock is an `EventLoop` that jumps from event to
 event: replica service completions are events on it too. A request has no
@@ -51,6 +52,7 @@ from ..serving.replica import (
     ModelServerReplica,
     replica_cpu_utilization,
     start_replica,
+    stop_replica,
 )
 from ..substrate.node import EnclaveSpec, MIB, Node, NodeSpec, Substrate
 from .errors import ScenarioFailed
@@ -83,7 +85,8 @@ class ClusterRunner:
     A subclass supplies the clock and the request path: `_send(spec,
     index)` runs at each request's due time, and `_drain()` waits for the
     requests still in flight once every event has run. It extends
-    `_make_replica` to serve each replica it starts.
+    `_make_replica` to serve each replica it starts, and `_retire_replica`
+    to stop serving each one the reconciler stops.
     """
 
     def __init__(
@@ -165,10 +168,10 @@ class ClusterRunner:
         # the placement list is the pool and the reconciler owns membership:
         # all of the pool, or the autoscaler's minimum to start from
         self.reconciler = Reconciler(
-            config.service_id,
             self.vs,
             placements=[(p.replica_id, p.node_id) for p in config.replica_placements],
             starter=self._make_replica,
+            stopper=self._retire_replica,
         )
         autoscale = config.autoscale
         initial = autoscale.min_replicas if autoscale.enabled else len(config.replica_placements)
@@ -208,6 +211,9 @@ class ClusterRunner:
             rng=crypto.derived_rng(self.config.seed, f"replica:{replica_id}"),
             parallelism=self.config.parallelism,
         )
+
+    def _retire_replica(self, replica: ModelServerReplica) -> None:
+        stop_replica(replica)
 
     # -- scripted interference -------------------------------------------------------
 
@@ -268,9 +274,10 @@ class ClusterRunner:
             if endpoint.weight == 1:
                 in_service_utils.append(util)
 
+        desired = self.reconciler.desired
         if self.autoscaler is not None:
-            desired = self.autoscaler.step(now, len(self.vs.endpoints()), in_service_utils)
-            self.reconciler.step(now, desired)
+            desired = self.autoscaler.step(now, desired, in_service_utils)
+        self.reconciler.step(now, desired)
 
     # -- schedule --------------------------------------------------------------------
 

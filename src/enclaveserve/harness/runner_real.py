@@ -10,13 +10,14 @@ connection on its own thread. A request is one connection carrying a
 handshake (resumed once the runner's ticket cache holds a ticket) and
 encrypted records, all within one deadline of `timeout_s` from its send;
 a request that misses it or fails in any other way is recorded as timed
-out at that deadline. Service time is spent sleeping. Before `run()`
+out at that deadline. Service time is spent sleeping. The listeners follow
+the shared reconciler: each replica it starts opens one, and each replica
+it stops, scaled down or crashed and about to restart, closes its listener
+first, so autoscaling works as on the virtual clock. Before `run()`
 returns, every listener closes and waits, for a bounded time, for its
-threads to end. `policies.autoscale` is rejected with `ConfigInvalid` (the
-listeners do not follow a reconciler); every other scenario field is
-honoured, `capture_traffic` by recording the keystore RPCs and every frame
-a client sends or receives. Timing is subject to scheduler jitter and runs
-are not reproducible.
+threads to end. Every scenario field is honoured, `capture_traffic` by
+recording the keystore RPCs and every frame a client sends or receives.
+Timing is subject to scheduler jitter and runs are not reproducible.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from ..serving.replica import (  # noqa: F401
     encode_inference_response,
     start_replica,
 )
-from .errors import ConfigInvalid
 from .metrics import RequestRecord, RunReport, STATUS_OK, STATUS_TIMEOUT
 from .runner import ClusterRunner
 from .scenario import ScenarioConfig
@@ -137,11 +137,6 @@ class RealRunner(ClusterRunner):
     loopback sockets."""
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
-        if config.autoscale.enabled:
-            raise ConfigInvalid(
-                "policies.autoscale is not supported on the real clock: "
-                "its listeners do not follow a reconciler"
-            )
         super().__init__(config, RealClock(), store)
         self._rng_lock = threading.Lock()
         self.listeners: dict[str, _ReplicaListener] = {}
@@ -155,6 +150,10 @@ class RealRunner(ClusterRunner):
         replica = super()._make_replica(replica_id, node_id)
         self.listeners[replica_id] = _ReplicaListener(replica, self.clock, self.server_rng)
         return replica
+
+    def _retire_replica(self, replica: ModelServerReplica) -> None:
+        self.listeners.pop(replica.replica_id).stop()
+        super()._retire_replica(replica)
 
     def _arrivals(self, spec: WorkloadSpec) -> list[float]:
         return generate_arrivals(spec)
@@ -184,7 +183,6 @@ class RealRunner(ClusterRunner):
         endpoint = self._pick(spec, index, send_ts)
         if endpoint is None:
             return
-        listener = self.listeners[endpoint.endpoint_id]
         deadline = send_ts + spec.timeout_s
 
         def left() -> float:
@@ -195,7 +193,9 @@ class RealRunner(ClusterRunner):
             return remaining
 
         try:
-            with socket.create_connection(("127.0.0.1", listener.port), timeout=left()) as sock:
+            # looked up inside the try: a crash restart may have retired it
+            port = self.listeners[endpoint.endpoint_id].port
+            with socket.create_connection(("127.0.0.1", port), timeout=left()) as sock:
                 transport = SocketTransport(sock)
                 if self._capture is not None:
                     transport = WiretapTransport(transport, self._capture)

@@ -2,18 +2,22 @@
 
 Weights are 0 or 1. Weight 0 means "no new traffic": the endpoint is
 skipped by every algorithm but in-flight connections are left to finish.
-All three algorithms break ties by lowest endpoint index, and endpoint
-order never changes while weights are reconfigured, so a re-enabled
-endpoint rejoins the round-robin rotation at its original position.
+A weight is never set directly: it is 1 exactly when the endpoint's hold
+set is empty. Each control loop adds and removes only its own hold (the
+SLO controller `paging`, the reconciler `drain`) through
+`VirtualService.set_hold`, the one writer of `Endpoint.weight`. All three
+algorithms break ties by lowest endpoint index, and endpoint order never
+changes while weights are reconfigured, so a re-enabled endpoint rejoins
+the round-robin rotation at its original position.
 
-The frontend keeps its own active-connection view, updated at dispatch
-and completion; it never polls replicas.
+The frontend keeps the one active-connection count per endpoint, updated
+at dispatch and completion; it never polls replicas.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import NoEligibleEndpoint, UnknownEndpoint
@@ -27,6 +31,7 @@ class Endpoint:
     replica: Any
     weight: int = 1
     active_connections: int = 0
+    holds: set[str] = field(default_factory=set, init=False)
 
 
 @dataclass
@@ -99,17 +104,22 @@ class VirtualService:
             _, idx = min(eligible)
             return eps[idx]
 
-    def set_weight(self, endpoint_id: str, weight: int, *, ts: float = 0.0, reason: str = "") -> None:
-        if weight not in (0, 1):
-            raise ValueError("weight must be 0 or 1")
+    def set_hold(self, endpoint_id: str, hold: str, held: bool, *, ts: float, reason: str) -> None:
+        """Add (`held`) or release one named hold; a weight change this
+        makes is logged with `reason`."""
         with self._lock:
             for ep in self._endpoints:
                 if ep.endpoint_id == endpoint_id:
+                    if held:
+                        ep.holds.add(hold)
+                    else:
+                        ep.holds.discard(hold)
+                    weight = 0 if ep.holds else 1
                     if ep.weight != weight:
                         self.weight_log.append(
                             WeightChange(ts, endpoint_id, ep.weight, weight, reason)
                         )
-                    ep.weight = weight
+                        ep.weight = weight
                     return
             raise UnknownEndpoint(endpoint_id)
 

@@ -47,7 +47,6 @@ class ModelServerReplica:
         self.pki = pki
         self.base_inference_time = base_inference_time
         self.parallelism = parallelism
-        self.active_connections = 0
         self._lock = threading.Lock()
         self._closed_busy: deque[tuple[float, float]] = deque()
         self._open_busy: dict[int, float] = {}
@@ -76,14 +75,12 @@ class ModelServerReplica:
 
     def begin_request(self, now: float) -> int:
         with self._lock:
-            self.active_connections += 1
             self._busy_token += 1
             self._open_busy[self._busy_token] = now
             return self._busy_token
 
     def end_request(self, token: int, now: float) -> None:
         with self._lock:
-            self.active_connections -= 1
             start = self._open_busy.pop(token)
             self._closed_busy.append((start, now))
 

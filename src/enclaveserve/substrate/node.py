@@ -22,7 +22,6 @@ from .paging import (
     DEFAULT_T_REF_PAGES_PER_S,
     LinearLatencyModel,
     PAGE_BYTES,
-    PagingModel,
     ProportionalOverflowModel,
 )
 
@@ -99,13 +98,12 @@ class Node:
         self,
         spec: NodeSpec,
         clock: Clock,
-        paging_model: PagingModel | None = None,
         t_ref: float = DEFAULT_T_REF_PAGES_PER_S,
     ) -> None:
         self.spec = spec
         self.t_ref = t_ref
         self.clock = clock
-        self._paging_model = paging_model or ProportionalOverflowModel()
+        self._paging_model = ProportionalOverflowModel()
         self.latency_model = LinearLatencyModel(t_ref=t_ref)
         self._lock = threading.RLock()
         self._enclaves: dict[str, EnclaveHandle] = {}
@@ -248,12 +246,11 @@ class Substrate:
     def add_node(
         self,
         spec: NodeSpec,
-        paging_model: PagingModel | None = None,
         t_ref: float = DEFAULT_T_REF_PAGES_PER_S,
     ) -> Node:
         if spec.node_id in self._nodes:
             raise ValueError(f"node {spec.node_id!r} already exists")
-        node = Node(spec, self.clock, paging_model, t_ref)
+        node = Node(spec, self.clock, t_ref)
         self._nodes[spec.node_id] = node
         self.registry.register(spec.node_id, spec.platform_attestation_key)
         return node

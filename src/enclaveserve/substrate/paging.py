@@ -1,26 +1,21 @@
 """Paging-throughput and latency-inflation models.
 
-Both models are pluggable; the defaults reproduce the orderings the rest
-of the stack depends on (zero throughput without over-commitment, latency
-monotone in throughput, 5x at the full-thrash reference rate).
+They reproduce the orderings the rest of the stack depends on (zero
+throughput without over-commitment, latency monotone in throughput, 5x at
+the full-thrash reference rate).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .node import EnclaveSpec
 
 DEFAULT_T_REF_PAGES_PER_S = 1.0e4
 PAGE_BYTES = 4096
-
-
-class _EnclaveLike(Protocol):
-    working_set_bytes: int
-    page_access_rate: float
-
-
-class PagingModel(Protocol):
-    def throughput(self, epc_usable_bytes: int, enclaves: Iterable[_EnclaveLike]) -> float:
-        """Pages/second swapped on a node hosting `enclaves`."""
+# latency slope: full thrash (paging == t_ref) costs (1 + KAPPA)x the base
+KAPPA = 4.0
 
 
 class ProportionalOverflowModel:
@@ -29,7 +24,7 @@ class ProportionalOverflowModel:
     overflow_fraction = max(0, sum(ws) - epc_usable) / sum(ws)
     """
 
-    def throughput(self, epc_usable_bytes: int, enclaves: Iterable[_EnclaveLike]) -> float:
+    def throughput(self, epc_usable_bytes: int, enclaves: Iterable[EnclaveSpec]) -> float:
         specs = list(enclaves)
         total_ws = sum(e.working_set_bytes for e in specs)
         if total_ws <= epc_usable_bytes or total_ws == 0:
@@ -38,30 +33,21 @@ class ProportionalOverflowModel:
         return fraction * sum(e.page_access_rate for e in specs)
 
 
-class LatencyModel(Protocol):
-    def inflate(self, base: float, paging: float) -> float:
-        """Service latency given a base latency and node paging throughput."""
-
-
 class LinearLatencyModel:
-    """latency = base * (1 + kappa * paging / t_ref).
+    """latency = base * (1 + KAPPA * paging / t_ref)."""
 
-    kappa = 4 makes full thrash (paging == t_ref) cost 5x the base.
-    """
-
-    def __init__(self, kappa: float = 4.0, t_ref: float = DEFAULT_T_REF_PAGES_PER_S) -> None:
-        if kappa < 0 or t_ref <= 0:
-            raise ValueError("kappa must be >= 0 and t_ref > 0")
-        self.kappa = kappa
+    def __init__(self, t_ref: float = DEFAULT_T_REF_PAGES_PER_S) -> None:
+        if t_ref <= 0:
+            raise ValueError("t_ref must be > 0")
         self.t_ref = t_ref
 
     def inflate(self, base: float, paging: float) -> float:
-        return base * (1.0 + self.kappa * paging / self.t_ref)
+        return base * (1.0 + KAPPA * paging / self.t_ref)
 
 
-def inflate_latency(base: float, paging: float, model: LatencyModel | None = None) -> float:
+def inflate_latency(base: float, paging: float) -> float:
     if base <= 0:
         raise ValueError("base latency must be positive")
     if paging < 0:
         raise ValueError("paging throughput must be nonnegative")
-    return (model or LinearLatencyModel()).inflate(base, paging)
+    return LinearLatencyModel().inflate(base, paging)

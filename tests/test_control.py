@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -23,6 +25,7 @@ from enclaveserve.control import (
     profile_boundary,
 )
 from enclaveserve.control.errors import NodeUnreachable
+from enclaveserve.control.reconcile import DRAIN_TIMEOUT_S
 from enclaveserve.profiles import PRESETS, ModelProfile
 from enclaveserve.serving import Endpoint, VirtualService
 from enclaveserve.substrate.node import EnclaveSpec, MIB
@@ -310,7 +313,7 @@ class StubReplica:
     crashed: bool = False
 
 
-def make_reconciler(n_slots=5, drain_timeout=10.0):
+def make_reconciler(n_slots=5):
     vs = VirtualService("svc", "rr")
     started = []
 
@@ -319,87 +322,195 @@ def make_reconciler(n_slots=5, drain_timeout=10.0):
         started.append(replica_id)
         return replica
 
-    placements = [(f"r{i}", f"node-{i}") for i in range(n_slots)]
-    import enclaveserve.control.reconcile as reconcile_module
-
-    reconciler = Reconciler("svc", vs, placements, starter, drain_timeout)
-    # stub replicas have no substrate enclave to stop
-    real_stop = reconcile_module.stop_replica
-
-    def no_stop(replica):
+    def stopper(replica):
+        # stub replicas have no substrate enclave to stop
         replica.enclave.running = False
 
-    reconcile_module.stop_replica = no_stop
-
-    def restore():
-        reconcile_module.stop_replica = real_stop
-
-    return reconciler, vs, started, restore
+    placements = [(f"r{i}", f"node-{i}") for i in range(n_slots)]
+    return Reconciler(vs, placements, starter, stopper), vs, started
 
 
 def test_scale_up_starts_missing_replicas():
-    reconciler, vs, started, restore = make_reconciler()
-    try:
-        actions = reconciler.step(0.0, 3)
-        assert [a.kind for a in actions] == ["start", "start", "start"]
-        actions = reconciler.step(1.0, 5)
-        assert [a.kind for a in actions] == ["start", "start"]
-        assert len(vs.endpoints()) == 5
-    finally:
-        restore()
+    reconciler, vs, started = make_reconciler()
+    actions = reconciler.step(0.0, 3)
+    assert [a.kind for a in actions] == ["start", "start", "start"]
+    actions = reconciler.step(1.0, 5)
+    assert [a.kind for a in actions] == ["start", "start"]
+    assert len(vs.endpoints()) == 5
 
 
 def test_crash_restored_on_next_cycle():
-    reconciler, vs, started, restore = make_reconciler()
-    try:
-        reconciler.step(0.0, 3)
-        reconciler.replicas["r1"].crashed = True
-        actions = reconciler.step(1.0, 3)
-        assert [(a.kind, a.replica_id) for a in actions] == [("restart", "r1")]
-        assert not reconciler.replicas["r1"].crashed
-        assert len(vs.endpoints()) == 3
-    finally:
-        restore()
+    reconciler, vs, started = make_reconciler()
+    reconciler.step(0.0, 3)
+    crashed = reconciler.replicas["r1"]
+    crashed.crashed = True
+    actions = reconciler.step(1.0, 3)
+    assert [(a.kind, a.replica_id) for a in actions] == [("restart", "r1")]
+    assert not reconciler.replicas["r1"].crashed
+    assert reconciler.replicas["r1"] is not crashed and not crashed.enclave.running
+    assert len(vs.endpoints()) == 3
 
 
 def test_scale_down_drains_then_stops():
-    reconciler, vs, started, restore = make_reconciler()
-    try:
-        reconciler.step(0.0, 3)
-        vs.endpoint("r2").active_connections = 2
-        actions = reconciler.step(1.0, 2)
-        assert [(a.kind, a.replica_id) for a in actions] == [("drain", "r2")]
-        assert vs.endpoint("r2").weight == 0
-        # still draining: connections outstanding, timeout not reached
-        assert reconciler.step(2.0, 2) == []
-        vs.endpoint("r2").active_connections = 0
-        actions = reconciler.step(3.0, 2)
-        assert [(a.kind, a.replica_id) for a in actions] == [("stop", "r2")]
-        assert len(vs.endpoints()) == 2
-    finally:
-        restore()
+    reconciler, vs, started = make_reconciler()
+    reconciler.step(0.0, 3)
+    vs.endpoint("r2").active_connections = 2
+    actions = reconciler.step(1.0, 2)
+    assert [(a.kind, a.replica_id) for a in actions] == [("drain", "r2")]
+    assert vs.endpoint("r2").weight == 0
+    # still draining: connections outstanding, timeout not reached
+    assert reconciler.step(2.0, 2) == []
+    vs.endpoint("r2").active_connections = 0
+    victim = reconciler.replicas["r2"]
+    actions = reconciler.step(3.0, 2)
+    assert [(a.kind, a.replica_id) for a in actions] == [("stop", "r2")]
+    assert len(vs.endpoints()) == 2
+    assert not victim.enclave.running
 
 
 def test_scale_down_stops_after_drain_timeout():
-    reconciler, vs, started, restore = make_reconciler(drain_timeout=5.0)
-    try:
-        reconciler.step(0.0, 2)
-        vs.endpoint("r1").active_connections = 9
-        reconciler.step(1.0, 1)
-        assert reconciler.step(3.0, 1) == []
-        actions = reconciler.step(6.5, 1)
-        assert [a.kind for a in actions] == ["stop"]
-    finally:
-        restore()
+    reconciler, vs, started = make_reconciler()
+    reconciler.step(0.0, 2)
+    vs.endpoint("r1").active_connections = 9
+    reconciler.step(1.0, 1)
+    assert reconciler.step(1.0 + DRAIN_TIMEOUT_S - 0.5, 1) == []
+    actions = reconciler.step(1.0 + DRAIN_TIMEOUT_S, 1)
+    assert [a.kind for a in actions] == ["stop"]
 
 
 def test_placement_failure():
-    reconciler, vs, started, restore = make_reconciler(n_slots=2)
-    try:
-        with pytest.raises(PlacementFailure):
-            reconciler.step(0.0, 3)
-    finally:
-        restore()
+    reconciler, vs, started = make_reconciler(n_slots=2)
+    with pytest.raises(PlacementFailure):
+        reconciler.step(0.0, 3)
+
+
+# -- controller, autoscaler and reconciler together ----------------------------------
+
+
+class ReferenceControlPlane:
+    """Brute-force restatement of one control tick: the paging rule, the
+    autoscaler's cooldown on the count it last decided, and drain-before-
+    stop with crash restarts. An endpoint carries traffic exactly when it
+    is neither paging-held nor draining."""
+
+    def __init__(self, slots, threshold, cycles, target, min_replicas, max_replicas, cooldown):
+        self.slots = slots
+        self.threshold, self.cycles = threshold, cycles
+        self.target, self.min, self.max, self.cooldown = target, min_replicas, max_replicas, cooldown
+        self.live = {}  # replica id -> {"paging", "draining_since", "crashed"}
+        self.streak = {}  # per replica id, kept across restarts: it measures the node
+        self.count = min_replicas
+        self.last_change = None
+        self.seen = dict.fromkeys(
+            ("paging", "release", "missing", "up", "down", "crash", "stop", "held-while-draining"), 0
+        )
+        self._reconcile(0.0, {})
+
+    def weights(self):
+        return {
+            rid: int(not s["paging"] and s["draining_since"] is None) for rid, s in self.live.items()
+        }
+
+    def crash(self, rid):
+        self.live[rid]["crashed"] = True
+        self.seen["crash"] += 1
+
+    def tick(self, now, observations, utils, conns):
+        for rid, s in self.live.items():
+            throughput, clear = observations[rid]
+            if throughput is None:
+                self.streak[rid] = 0
+                self.seen["missing"] += 1
+                continue
+            self.streak[rid] = self.streak.get(rid, 0) + 1 if throughput > self.threshold else 0
+            if not s["paging"] and self.streak[rid] >= self.cycles:
+                s["paging"] = True
+                self.seen["paging"] += 1
+                if s["draining_since"] is not None:
+                    self.seen["held-while-draining"] += 1
+            elif s["paging"] and clear:
+                s["paging"] = False
+                self.seen["release"] += 1
+        in_service = [utils[rid] for rid, w in sorted(self.weights().items()) if w == 1]
+        in_cooldown = self.last_change is not None and now - self.last_change < self.cooldown
+        if in_service and not in_cooldown:
+            n = len(in_service)
+            wanted = math.ceil(n * (sum(in_service) / n) / self.target)
+            wanted = max(self.min, min(self.max, wanted))
+            if wanted != self.count:
+                self.seen["up" if wanted > self.count else "down"] += 1
+                self.count, self.last_change = wanted, now
+        self._reconcile(now, conns)
+
+    def _reconcile(self, now, conns):
+        target = self.slots[: self.count]
+        fresh = {"paging": False, "draining_since": None, "crashed": False}
+        for rid in target:
+            if rid not in self.live or self.live[rid]["crashed"]:
+                self.live[rid] = dict(fresh)
+        for rid in list(self.live):
+            s = self.live[rid]
+            if rid in target:
+                s["draining_since"] = None
+            elif s["draining_since"] is None:
+                s["draining_since"] = now
+            elif conns[rid] == 0 or now - s["draining_since"] >= DRAIN_TIMEOUT_S:
+                del self.live[rid]
+                self.seen["stop"] += 1
+
+
+def test_control_plane_matches_reference_over_random_traces():
+    rng = random.Random(20261019)
+    slots = [f"r{i}" for i in range(4)]
+    totals = collections.Counter()
+    for _ in range(250):
+        cooldown = rng.choice([0.0, 2.0, 3.0])
+        cycles = rng.choice([1, 2, 3])
+        vs = VirtualService("svc", "sed")
+        controller = SloController(
+            SloPolicy("svc", 0.1, 1000.0, threshold_fraction=0.7, consecutive_cycles=cycles), vs
+        )
+        scaler = Autoscaler(policy(target_utilization=0.5, max_replicas=4, cooldown=cooldown))
+
+        def starter(replica_id, node_id):
+            return StubReplica(replica_id, FakeNode(node_id))
+
+        def stopper(replica):
+            replica.enclave.running = False
+
+        reconciler = Reconciler(vs, [(r, f"node-{r}") for r in slots], starter, stopper)
+        reconciler.step(0.0, 1)
+        reference = ReferenceControlPlane(slots, 700.0, cycles, 0.5, 1, 4, cooldown)
+        for tick in range(1, 41):
+            now = float(tick)
+            if reconciler.replicas and rng.random() < 0.06:
+                rid = rng.choice(sorted(reconciler.replicas))
+                reconciler.replicas[rid].crashed = True
+                reconciler.replicas[rid].enclave.running = False
+                reference.crash(rid)
+            truth, node_obs, utils, conns = {}, {}, {}, {}
+            for rid in slots:
+                throughput = None if rng.random() < 0.08 else rng.choice([0.0, 400.0, 900.0, 5000.0])
+                clear = rng.random() < 0.3
+                enclaves = (("aecs", True),) if clear else (("aecs", True), ("stress", False))
+                truth[rid] = (throughput, clear)
+                node_obs[f"node-{rid}"] = NodeObservation(throughput, enclaves)
+                # dyadic utilizations sum exactly in any order
+                utils[rid] = rng.choice([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+                conns[rid] = rng.choice([0, 0, 1, 3])
+            for ep in vs.endpoints():
+                ep.active_connections = conns[ep.endpoint_id]
+            # one control tick, as ClusterRunner._tick wires it
+            controller.step(node_obs, now)
+            in_service = [utils[ep.endpoint_id] for ep in vs.endpoints() if ep.weight == 1]
+            reconciler.step(now, scaler.step(now, reconciler.desired, in_service))
+            reference.tick(now, truth, utils, conns)
+            assert {ep.endpoint_id: ep.weight for ep in vs.endpoints()} == reference.weights()
+            assert reconciler.desired == reference.count
+        totals.update(reference.seen)
+    # every path of the three loops was exercised
+    assert min(totals.values()) > 0, totals
+    print(f"control plane vs reference: 250 traces, {dict(totals)}")
 
 
 # -- profiler --------------------------------------------------------------------------

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import socket
 import threading
 import time
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclaveserve.channel.handshake import server_handshake
@@ -34,6 +35,7 @@ from enclaveserve.harness.report import (
     render_latencies,
     summarize_dir,
 )
+from enclaveserve.harness import runner as runner_module
 from enclaveserve.harness import runner_real
 from enclaveserve.harness.runner import VirtualRunner, _Request
 from enclaveserve.harness.runner_real import RealRunner
@@ -46,7 +48,7 @@ from enclaveserve.harness.scenario import (
     from_dict,
 )
 from enclaveserve.profiles import PRESETS
-from enclaveserve.serving import ModelServerReplica
+from enclaveserve.serving import ModelServerReplica, crash_replica
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -392,7 +394,6 @@ def test_virtual_request_that_ends_after_its_timeout_is_recorded_timed_out(monke
         assert record.latency == timeout_s
     for endpoint in runner.vs.endpoints():
         assert endpoint.active_connections == 0
-        assert endpoint.replica.active_connections == 0
 
 
 @pytest.mark.parametrize("early_s, status", [(1e-6, STATUS_OK), (0.0, STATUS_TIMEOUT)])
@@ -419,7 +420,6 @@ def test_connection_counters_drain_to_zero():
     assert runner.vs is not None
     for endpoint in runner.vs.endpoints():
         assert endpoint.active_connections == 0
-        assert endpoint.replica.active_connections == 0
 
 
 def test_rr_under_heavy_interference_times_out_and_conserves():
@@ -469,6 +469,164 @@ def test_autoscale_scenario_reaches_target_band():
     runner.run()
     assert runner.vs is not None
     assert len(runner.vs.endpoints()) == 3  # 150 rps of 20 ms work needs 3 pairs of cores
+
+
+def with_tick_log(runner_class):
+    """`runner_class` noting, after every control tick, the count the
+    reconciler was asked for and each endpoint with its weight."""
+
+    class TickLogged(runner_class):
+        def __init__(self, config):
+            super().__init__(config)
+            self.tick_log = []
+
+        def _tick(self):
+            super()._tick()
+            self.tick_log.append(
+                (
+                    self.clock.now(),
+                    self.reconciler.desired,
+                    {ep.endpoint_id: (ep, ep.weight) for ep in self.vs.endpoints()},
+                )
+            )
+
+    return TickLogged
+
+
+def demo_scenario(**changes):
+    return dataclasses.replace(load_scenario(SCENARIOS / "autoscale-demo.yaml"), **changes)
+
+
+@pytest.mark.parametrize("algorithm", ["sed", "sgx_aware"])
+def test_autoscale_demo_stops_what_it_drains(algorithm):
+    # 40 rps needs one replica: the first scale-up is undone within the run
+    config = demo_scenario(
+        algorithm=algorithm,
+        slo=SloSettings(boundary_pages_per_s=PROFILED_BOUNDARIES["mobilenet_v1_float"]),
+        workload=WorkloadSettings(rate_per_s=40.0),
+    )
+    runner = with_tick_log(VirtualRunner)(config)
+    report = runner.run()
+    assert len(report.records) == report.sent
+    cooldown = config.autoscale.cooldown_s
+    log = runner.tick_log
+    # the autoscaler scales from the count it decided, once per cooldown
+    changes = [log[i][0] for i in range(1, len(log)) if log[i][1] != log[i - 1][1]]
+    assert all(b - a >= cooldown for a, b in zip(changes, changes[1:]))
+    drains = [e for e in report.weight_events if e.reason == "scale-down-drain"]
+    assert drains
+    assert not [e for e in report.weight_events if e.reason == "interference-clear"]
+    for event in drains:
+        k = next(i for i, (now, _, _) in enumerate(log) if now == event.ts)
+        drained = log[k][2][event.endpoint_id][0]
+        later = [eps.get(event.endpoint_id) for _, _, eps in log[k + 1 :]]
+        assert any(entry is None or entry[0] is not drained for entry in later)  # stopped
+        for i, entry in enumerate(later, start=k + 1):
+            if entry and entry[1] == 1:
+                # it serves again only on a scale-up decided after the cooldown
+                assert log[i][1] > log[i - 1][1] and log[i][0] - event.ts >= cooldown
+                break
+    now, desired, endpoints = log[-1]
+    assert len(endpoints) == desired == 1
+
+
+MISTAKES = ("cores", "epc", "placement", "payload", "window", "autoscale", "slo")
+
+
+@st.composite
+def raw_scenarios(draw):
+    """Scenario YAML as written: 1-4 nodes, random placements, every
+    algorithm, SLO and autoscale settings (sgx_aware with autoscale too),
+    interference windows, payloads and timeouts, and runs of at most 1 s.
+    About one in three carries one mistake that `validate()` must catch."""
+    mistake = draw(st.sampled_from((None,) * 14 + MISTAKES))
+    duration = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    node_ids = [f"n{i}" for i in range(draw(st.integers(1, 4)))]
+    nodes = [
+        {"id": n, "cores": draw(st.integers(1, 3)), "epc_mib": draw(st.sampled_from([8, 93]))}
+        for n in node_ids
+    ]
+    replicas = [
+        {"id": f"r{i}", "node": draw(st.sampled_from(node_ids))}
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    windows, t = [], 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        start = t + draw(st.sampled_from([0.0, 0.1]))
+        t = start + draw(st.sampled_from([0.05, 0.1, 0.15]))
+        windows.append([start, t])
+    max_replicas = draw(st.integers(1, len(replicas)))
+    policies = {
+        "autoscale": {
+            "enabled": draw(st.booleans()),
+            "target_utilization": draw(st.sampled_from([0.1, 0.5, 1.0])),
+            "min_replicas": draw(st.integers(1, max_replicas)),
+            "max_replicas": max_replicas,
+            "cooldown_s": draw(st.sampled_from([0.0, 0.2, 30.0])),
+        }
+    }
+    algorithm = draw(st.sampled_from(["rr", "lc", "sed", "sgx_aware"]))
+    if algorithm == "sgx_aware" or draw(st.booleans()):
+        policies["slo"] = {
+            "boundary_pages_per_s": draw(st.sampled_from([100.0, 4950.0])),
+            "theta": draw(st.sampled_from([0.5, 1.0])),
+            "consecutive_cycles": draw(st.integers(1, 3)),
+            "sample_interval_s": draw(st.sampled_from([0.05, 0.1, 0.25])),
+        }
+    raw = {
+        "name": "generated",
+        "seed": draw(st.integers(0, 9)),
+        "duration_s": duration,
+        "cluster": {"nodes": nodes},
+        "aecs": {"replicas": [{"id": "aecs-0", "node": draw(st.sampled_from(node_ids))}]},
+        "service": {
+            "id": "svc",
+            "model": draw(st.sampled_from(sorted(PRESETS))),
+            "algorithm": algorithm,
+            "parallelism": draw(st.integers(1, 3)),
+            "replicas": replicas,
+        },
+        "policies": policies,
+        "workload": {
+            "rate_per_s": draw(st.sampled_from([5.0, 40.0, 120.0])),
+            "payload_bytes": draw(st.sampled_from([1, 64, 150528])),
+            "timeout_s": draw(st.sampled_from([0.01, 0.1, 10.0])),
+        },
+        "interference": [
+            {"node": draw(st.sampled_from(node_ids)), "windows": windows, "epc_mib": 93,
+             "rate_pages_per_s": 145000.0}
+        ] if windows else [],
+    }
+    if mistake == "cores":
+        nodes[0]["cores"] = 0
+    elif mistake == "epc":
+        nodes[-1]["epc_mib"] = 0
+    elif mistake == "placement":
+        replicas[-1]["node"] = "elsewhere"
+    elif mistake == "payload":
+        raw["workload"]["payload_bytes"] = draw(st.sampled_from([0, MAX_FRAME]))
+    elif mistake == "window":
+        raw["interference"] = [{"node": node_ids[0], "windows": [[0.1, duration + 0.1]],
+                                "epc_mib": 93, "rate_pages_per_s": 145000.0}]
+    elif mistake == "autoscale":
+        policies["autoscale"].update(enabled=True, max_replicas=len(replicas) + 1)
+    elif mistake == "slo":
+        raw["service"]["algorithm"] = "sgx_aware"
+        policies.pop("slo", None)
+    return raw
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(raw=raw_scenarios())
+def test_every_valid_scenario_runs_to_completion_on_the_virtual_clock(raw):
+    try:
+        config = from_dict(raw)
+    except ConfigInvalid:
+        return
+    runner = VirtualRunner(config)
+    report = runner.run()
+    # a virtual run drains: every arrival is sent once and recorded once
+    assert report.sent == len(runner.arrivals) == len(report.records)
 
 
 # -- report emission ---------------------------------------------------------------------
@@ -611,12 +769,127 @@ def short_real_scenario(**changes):
     )
 
 
-def test_real_clock_rejects_autoscale():
+def scaled_to(raw: dict, seconds: float) -> dict:
+    """A scenario's raw YAML with every time in it scaled into `seconds`;
+    timeouts keep their value."""
+    factor = seconds / raw["duration_s"]
+    raw["duration_s"] = seconds
+    for script in raw.get("interference", []):
+        script["windows"] = [[start * factor, end * factor] for start, end in script["windows"]]
+    policies = raw.setdefault("policies", {})
+    # the control tick follows policies.slo, which only sgx_aware acts on
+    slo = policies.setdefault("slo", {"boundary_pages_per_s": 4950.0})
+    slo["sample_interval_s"] = slo.get("sample_interval_s", 1.0) * factor
+    if "autoscale" in policies:
+        policies["autoscale"]["cooldown_s"] = policies["autoscale"].get("cooldown_s", 30.0) * factor
+    return raw
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_every_shipped_scenario_runs_on_the_real_clock(path):
+    config = from_dict(scaled_to(yaml.safe_load(path.read_text()), 1.5))
+    before = set(threading.enumerate())
+    report = RealRunner(config).run()
+    assert report.sent > 0
+    assert len(report.records) == report.sent
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_real_autoscale_demo_reaches_max_replicas_within_ten_seconds():
+    config = demo_scenario(duration_s=10.0)
+    runner = with_tick_log(RealRunner)(config)
+    report = runner.run()
+    assert len(report.records) == report.sent and report.timed_out == 0
+    assert max(len(endpoints) for _, _, endpoints in runner.tick_log) == 3
+    assert all(not listener.thread.is_alive() for listener in runner.listeners.values())
+
+
+class _RetireLogged(RealRunner):
+    """Notes each listener the reconciler retires, and when."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.retired = []
+
+    def _retire_replica(self, replica):
+        listener = self.listeners[replica.replica_id]
+        super()._retire_replica(replica)
+        self.retired.append((listener, self.clock.now()))
+
+
+def refuses(port: int) -> bool:
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+    except ConnectionRefusedError:
+        return True
+    return False
+
+
+def test_real_scale_down_closes_the_retired_listener(monkeypatch):
+    # saturated until r1 is in service, then idle: one scale-up, then one
+    # scale-down, however late the ticks run
+    r1_seen = False
+
+    def utilization(replica, window, now):
+        nonlocal r1_seen
+        r1_seen = r1_seen or replica.replica_id == "r1"
+        return float(not r1_seen)
+
+    monkeypatch.setattr(runner_module, "replica_cpu_utilization", utilization)
     config = short_real_scenario(
-        autoscale=AutoscaleSettings(enabled=True, min_replicas=1, max_replicas=3)
+        algorithm="rr",
+        slo=SloSettings(boundary_pages_per_s=4950.0, sample_interval_s=0.25),
+        autoscale=AutoscaleSettings(
+            enabled=True, target_utilization=0.5, min_replicas=1, max_replicas=2, cooldown_s=0.0
+        ),
     )
-    with pytest.raises(ConfigInvalid):
-        RealRunner(config)
+    before = set(threading.enumerate())
+    runner = _RetireLogged(config)
+    report = runner.run()
+    assert len(report.records) == report.sent
+    [(listener, retired_at)] = runner.retired
+    assert listener.replica.replica_id == "r1" and retired_at < config.duration_s
+    assert not listener.thread.is_alive() and refuses(listener.port)
+    assert all(r.send_ts < retired_at for r in report.records if r.endpoint == "r1")
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+class _CrashingRealRunner(_RetireLogged):
+    """Crashes r1 at 0.9 s; at 1.4 s, after the tick at 1.0 s, checks that
+    its old listener refuses connections and a new one is up."""
+
+    def _schedule(self):
+        super()._schedule()
+        self.clock.call_at(0.9, self._crash)
+        self.clock.call_at(1.4, self._probe)
+
+    def _crash(self):
+        self.crashed_listener = self.listeners["r1"]
+        crash_replica(self.reconciler.replicas["r1"])
+
+    def _probe(self):
+        current = self.listeners["r1"]
+        self.probe = (refuses(self.crashed_listener.port), current is not self.crashed_listener,
+                      current.thread.is_alive())
+
+
+def test_real_crash_restart_replaces_the_listener():
+    config = short_real_scenario(
+        algorithm="rr",
+        slo=SloSettings(boundary_pages_per_s=4950.0, sample_interval_s=0.25),
+        duration_s=2.0,
+    )
+    before = set(threading.enumerate())
+    runner = _CrashingRealRunner(config)
+    report = runner.run()
+    assert runner.probe == (True, True, True)
+    [(listener, restarted_at)] = runner.retired
+    assert listener is runner.crashed_listener and restarted_at >= 0.9
+    assert len(report.records) == report.sent
+    # the new listener served r1's share once the restart was done
+    assert any(r.status == STATUS_OK and r.send_ts > restarted_at
+               for r in report.records if r.endpoint == "r1")
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_real_clock_capture_holds_handshakes_and_no_secrets():

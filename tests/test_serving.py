@@ -144,10 +144,11 @@ def test_connection_accounting_balances(stack):
     _, nodes, client = stack
     replica = start(client, nodes[0], "r0")
     tokens = [replica.begin_request(now) for now in (0.0, 0.1, 0.2)]
-    assert replica.active_connections == 3
+    # three open requests, each busy for the whole of a later window
+    assert replica.busy_time(1.0, 2.0) == pytest.approx(3.0)
     for token in tokens:
         replica.end_request(token, 0.5)
-    assert replica.active_connections == 0
+    assert replica.busy_time(1.0, 2.0) == 0.0
 
 
 # -- frontend scheduling ------------------------------------------------------------------
@@ -181,16 +182,16 @@ def test_lc_tie_breaks_on_lowest_index():
 def test_weight_restored_endpoint_rejoins_rotation_in_place():
     vs = make_vs("rr", [0, 0, 0], [1, 1, 1])
     assert [vs.pick_endpoint().endpoint_id for _ in range(3)] == ["e0", "e1", "e2"]
-    vs.set_weight("e1", 0)
+    vs.set_hold("e1", "paging", True, ts=0.0, reason="")
     assert [vs.pick_endpoint().endpoint_id for _ in range(2)] == ["e0", "e2"]
-    vs.set_weight("e1", 1)
+    vs.set_hold("e1", "paging", False, ts=0.0, reason="")
     # cursor sits at e2: rotation resumes with e0, then e1 at its old slot
     assert [vs.pick_endpoint().endpoint_id for _ in range(3)] == ["e0", "e1", "e2"]
 
 
 def test_weight_zero_receives_nothing():
     vs = make_vs("rr", [0, 0, 0], [1, 1, 1])
-    vs.set_weight("e1", 0)
+    vs.set_hold("e1", "drain", True, ts=0.0, reason="")
     picks = [vs.pick_endpoint().endpoint_id for _ in range(1000)]
     assert "e1" not in picks
 
@@ -204,13 +205,20 @@ def test_all_weights_zero_raises():
 def test_unknown_endpoint():
     vs = make_vs("rr", [0], [1])
     with pytest.raises(UnknownEndpoint):
-        vs.set_weight("ghost", 0)
+        vs.set_hold("ghost", "drain", True, ts=0.0, reason="")
 
 
 def test_weight_must_be_binary():
+    # holds stack, the weight does not: it is 1 exactly when none is held
     vs = make_vs("rr", [0], [1])
-    with pytest.raises(ValueError):
-        vs.set_weight("e0", 5)
+    endpoint = vs.endpoint("e0")
+    steps = [("paging", True, 0), ("drain", True, 0), ("paging", False, 0),
+             ("paging", False, 0), ("drain", False, 1), ("drain", False, 1)]
+    for hold, held, weight in steps:
+        vs.set_hold("e0", hold, held, ts=0.0, reason=hold)
+        assert endpoint.weight == weight
+    # one log row per weight change, with the reason of the hold change behind it
+    assert [(e.old, e.new, e.reason) for e in vs.weight_log] == [(1, 0, "paging"), (0, 1, "drain")]
 
 
 def test_scheduler_reference_equivalence_small():
@@ -269,15 +277,16 @@ def test_concurrent_picks_and_weight_updates_stay_consistent():
         t.start()
     rng = random.Random(3)
     for _ in range(300):
-        vs.set_weight(f"e{rng.randrange(4)}", rng.randint(0, 1))
+        vs.set_hold(f"e{rng.randrange(4)}", "paging", rng.random() < 0.5, ts=0.0, reason="")
     for i in range(4):
-        vs.set_weight(f"e{i}", 0)
+        vs.set_hold(f"e{i}", "drain", True, ts=0.0, reason="")
     stop.set()
     for t in threads:
         t.join()
     assert errors == []
     picks = [0] * 4
-    vs.set_weight("e1", 1)
+    vs.set_hold("e1", "paging", False, ts=0.0, reason="")
+    vs.set_hold("e1", "drain", False, ts=0.0, reason="")
     for _ in range(100):
         picks[int(vs.pick_endpoint().endpoint_id[1])] += 1
     assert picks == [0, 100, 0, 0]
@@ -338,4 +347,4 @@ def test_serve_connection_over_loopback_socket(stack):
     payload, service_time = decode_inference_response(response)
     assert payload == b"image-bytes"
     assert service_time == pytest.approx(0.001)
-    assert replica.active_connections == 0
+    assert replica.busy_time(1.0, 2.0) == 0.0  # no request left open

@@ -139,40 +139,23 @@ def test_latency_idle_equals_base():
 
 def test_latency_five_x_at_reference_thrash():
     # calibration anchor: paging at the full-thrash reference costs 5x
-    model = LinearLatencyModel(t_ref=1e4)
-    assert inflate_latency(0.020, 1e4, model) == pytest.approx(0.100)
+    assert inflate_latency(0.020, 1e4) == pytest.approx(0.100)
+    assert LinearLatencyModel(t_ref=2e4).inflate(0.020, 2e4) == pytest.approx(0.100)
 
 
 def test_latency_linear_midpoint():
-    model = LinearLatencyModel(t_ref=1e4)
-    assert inflate_latency(0.020, 5e3, model) == pytest.approx(0.060)
-
-
-def test_paging_model_is_pluggable(loop):
-    from enclaveserve.substrate.node import Substrate
-
-    class FixedRate:
-        def throughput(self, epc_usable_bytes, enclaves):
-            return 2500.0
-
-    node = Substrate(loop).add_node(make_node_spec(), paging_model=FixedRate())
-    node.launch_enclave(enclave("e", 1))
-    assert node.paging_throughput() == 2500.0
-    # linear default latency model picks the plugged-in rate up: 1 + 4*0.25
-    assert node.service_latency(0.010) == pytest.approx(0.020)
+    assert inflate_latency(0.020, 5e3) == pytest.approx(0.060)
 
 
 @given(
     base=st.floats(1e-6, 10.0),
     p1=st.floats(0, 1e6),
     p2=st.floats(0, 1e6),
-    kappa=st.floats(0, 100),
 )
-def test_latency_monotone_in_paging(base, p1, p2, kappa):
-    model = LinearLatencyModel(kappa=kappa, t_ref=1e4)
+def test_latency_monotone_in_paging(base, p1, p2):
     lo, hi = sorted((p1, p2))
-    assert inflate_latency(base, lo, model) <= inflate_latency(base, hi, model)
-    assert inflate_latency(base, 0.0, model) == pytest.approx(base)
+    assert inflate_latency(base, lo) <= inflate_latency(base, hi)
+    assert inflate_latency(base, 0.0) == pytest.approx(base)
 
 
 def test_latency_rejects_bad_args():

@@ -6,6 +6,9 @@ untrusted store (CAS) and the attested storage-key fetch; whichever replica
 wins the create-if-absent race on the leader marker generates the storage
 key, everyone else recovers it by unsealing a local blob or fetching it
 from a serving peer after remote attestation.
+
+Bootstrap's peer polling and the CAS back-off wait on the replica's clock,
+so on the virtual clock they take no time.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import random
 import struct
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +49,12 @@ _SEALED_MAGIC = b"aecs-seal-v1"
 LEADER_OBJECT = "aecs/leader"
 KEYMAP_OBJECT = "aecs/keymap"
 MAX_CAS_RETRIES = 8
+# the back-off before CAS retry n is a uniform fraction of this x 2**n
+CAS_BACKOFF_S = 0.002
+# a replica with neither the election nor a sealed blob polls for a serving
+# peer this many times, this far apart, then gives up (5 s in all)
+BOOTSTRAP_POLLS = 2500
+BOOTSTRAP_POLL_S = 0.002
 
 # default code identity of the keystore enclave itself; replicas attest to
 # this measurement when fetching the storage key from a peer
@@ -60,8 +68,6 @@ class AecsDeployment:
     measurement: bytes
     registry: PlatformRegistry
     store: UntrustedStore
-    bootstrap_timeout: float = 5.0
-    cas_backoff: float = 0.002
     _peers: list["AecsReplica"] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock)
     generation_events: int = 0
@@ -100,7 +106,7 @@ class AecsReplica:
         deployment: AecsDeployment,
         sealed_path: Path | str,
         rng: random.Random,
-        clock: Clock | None = None,
+        clock: Clock,
     ) -> None:
         self.replica_id = replica_id
         self.enclave = enclave
@@ -146,8 +152,7 @@ class AecsReplica:
             self.deployment.register(self)
             return
 
-        deadline = time.monotonic() + self.deployment.bootstrap_timeout
-        while time.monotonic() < deadline:
+        for _ in range(BOOTSTRAP_POLLS):
             for peer in self.deployment.serving_peers(exclude=self):
                 try:
                     self._fetch_from_peer(peer, generation)
@@ -156,7 +161,7 @@ class AecsReplica:
                     return
                 except (AttestationMismatch, BindingMismatch, NotServing):
                     continue
-            time.sleep(0.002)
+            self._clock.sleep(BOOTSTRAP_POLL_S)
         raise BootstrapTimeout(
             f"replica {self.replica_id!r}: no sealed blob and no serving peer answered"
         )
@@ -242,7 +247,6 @@ class AecsReplica:
         (and may raise); bounded retries, then StoreConflictExhausted."""
         key = self._require_key()
         with self._mutate_lock:
-            backoff = self.deployment.cas_backoff
             for attempt in range(MAX_CAS_RETRIES):
                 keymap, store_version = self._load_map()
                 apply(keymap)
@@ -252,7 +256,7 @@ class AecsReplica:
                     self.deployment.store.put(KEYMAP_OBJECT, blob, store_version)
                     return
                 except VersionConflict:
-                    time.sleep(backoff * (2**attempt) * self._rng.random())
+                    self._clock.sleep(CAS_BACKOFF_S * (2**attempt) * self._rng.random())
             raise StoreConflictExhausted(
                 f"gave up after {MAX_CAS_RETRIES} CAS attempts"
             )
@@ -261,8 +265,7 @@ class AecsReplica:
 
     def create_service_pki(self, service_id: str, code_measurement: bytes) -> Certificate:
         """Generate and register a PKI; only the certificate leaves."""
-        now = self._clock.now() if self._clock else 0.0
-        pki = generate_pki(service_id, self._rng, now=now)
+        pki = generate_pki(service_id, self._rng, now=self._clock.now())
 
         def apply(keymap: KeyMap) -> None:
             if service_id in keymap.entries:

@@ -5,6 +5,9 @@ insertion sequence). `EventLoop` is the virtual clock: it jumps from one
 event to the next without waiting, so runs are single-threaded and a fixed
 schedule replays identically. `RealClock` is the same loop on the monotonic
 wall clock: it sleeps until each event is due.
+
+Code that waits inside an event waits through the clock's `sleep`, which
+the event loop returns from at once: no virtual time passes in an event.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ from typing import Callable
 
 
 class Clock:
-    """Read-only time source."""
+    """Time source."""
 
     def now(self) -> float:
+        raise NotImplementedError
+
+    def sleep(self, seconds: float) -> None:
         raise NotImplementedError
 
 
@@ -35,6 +41,9 @@ class EventLoop(Clock):
 
     def now(self) -> float:
         return self._now
+
+    def sleep(self, seconds: float) -> None:
+        """Return at once: time moves only between events."""
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         if when < self._now:
@@ -78,13 +87,16 @@ class RealClock(EventLoop):
     def now(self) -> float:
         return time.monotonic() - self._t0
 
+    def sleep(self, seconds: float) -> None:
+        time.sleep(seconds)
+
     def run(self) -> None:
         """Fire every queued event at its time, then return."""
         while self._heap:
             when, _, fn = self._heap[0]
             delay = when - self.now()
             if delay > 0:
-                time.sleep(delay)
+                self.sleep(delay)
                 continue
             heapq.heappop(self._heap)
             fn()

@@ -1,4 +1,4 @@
-from .autoscale import Autoscaler, ScalePolicy, autoscale_step
+from .autoscale import Autoscaler, AutoscaleSettings, autoscale_step
 from .errors import (
     ControlError,
     InsufficientSamples,
@@ -11,7 +11,7 @@ from .reconcile import ReconcileAction, Reconciler
 from .slo import (
     NodeObservation,
     SloController,
-    SloPolicy,
+    SloSettings,
     WeightAction,
     observation_from_samples,
 )
@@ -28,6 +28,7 @@ from .telemetry import (
 )
 
 __all__ = [
+    "AutoscaleSettings",
     "Autoscaler",
     "BoundaryPoint",
     "BoundaryProfile",
@@ -43,9 +44,8 @@ __all__ = [
     "ReconcileAction",
     "Reconciler",
     "SERVICE_CSV_HEADER",
-    "ScalePolicy",
     "SloController",
-    "SloPolicy",
+    "SloSettings",
     "SloUnattainable",
     "WeightAction",
     "autoscale_step",

@@ -109,7 +109,6 @@ def _run_point(
             node_id="profiler-node",
             root_seal_key=rng.randbytes(32),
             platform_attestation_key=rng.randbytes(32),
-            cpu_cores=1,
         )
     )
     node.launch_enclave(profile.enclave_spec("profiler-replica"))

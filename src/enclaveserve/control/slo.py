@@ -7,6 +7,9 @@ no interference enclaves other than the replica itself and system enclaves
 remain on the node. It is the only hold the controller touches, so it
 never undoes a reconciler drain. A missing sample resets the streak,
 failing safe toward keeping traffic flowing.
+
+`SloSettings` is the scenario's `policies.slo` section itself: the loader
+builds it and `validate()` checks it, so the controller re-checks nothing.
 """
 
 from __future__ import annotations
@@ -18,27 +21,11 @@ from .telemetry import EpcSample
 
 
 @dataclass(frozen=True)
-class SloPolicy:
-    service_id: str
-    slo_p99: float
+class SloSettings:
     boundary_pages_per_s: float
-    threshold_fraction: float = 0.70
+    theta: float = 0.70
     consecutive_cycles: int = 5
-    sample_interval: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.threshold_fraction <= 1:
-            raise ValueError("threshold_fraction must be in (0, 1]")
-        if self.consecutive_cycles < 1:
-            raise ValueError("consecutive_cycles must be >= 1")
-        if self.boundary_pages_per_s <= 0:
-            raise ValueError("boundary must be positive")
-        if self.slo_p99 <= 0 or self.sample_interval <= 0:
-            raise ValueError("slo_p99 and sample_interval must be positive")
-
-    @property
-    def trigger_threshold(self) -> float:
-        return self.threshold_fraction * self.boundary_pages_per_s
+    sample_interval_s: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +63,9 @@ class WeightAction:
 class SloController:
     """Per-service controller; one sequential sample->decide->actuate loop."""
 
-    def __init__(self, policy: SloPolicy, vs: VirtualService) -> None:
-        self.policy = policy
+    def __init__(self, settings: SloSettings, vs: VirtualService) -> None:
+        self.settings = settings
+        self.threshold = settings.theta * settings.boundary_pages_per_s
         self.vs = vs
         self._streaks: dict[str, int] = {}
         self.missing_cycles = 0  # cycles in which some node's sample was missing
@@ -89,7 +77,6 @@ class SloController:
         idempotent: re-running a step after a missed tick is harmless.
         """
         actions: list[WeightAction] = []
-        threshold = self.policy.trigger_threshold
         missing = False
         for ep in self.vs.endpoints():
             replica = ep.replica
@@ -100,13 +87,13 @@ class SloController:
                 missing = True
                 self._streaks[ep.endpoint_id] = 0
                 continue
-            if obs.throughput > threshold:
+            if obs.throughput > self.threshold:
                 streak = self._streaks.get(ep.endpoint_id, 0) + 1
             else:
                 streak = 0
             self._streaks[ep.endpoint_id] = streak
             held = "paging" in ep.holds
-            if not held and streak >= self.policy.consecutive_cycles:
+            if not held and streak >= self.settings.consecutive_cycles:
                 actions.append(WeightAction(ep.endpoint_id, 0, "paging-above-boundary"))
             elif held and obs.interference_clear(own_enclave):
                 actions.append(WeightAction(ep.endpoint_id, 1, "interference-clear"))

@@ -20,7 +20,7 @@ from .scenario import (
     load_scenario,
     validate,
 )
-from .workload import WorkloadSpec, generate_arrivals, request_payload
+from .workload import generate_arrivals, request_payload
 
 __all__ = [
     "ConfigInvalid",
@@ -37,7 +37,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioFailed",
     "VirtualRunner",
-    "WorkloadSpec",
     "build_lb_scenario",
     "build_scaling_scenario",
     "emit_report",

@@ -39,10 +39,10 @@ from ..aecs.store import MemoryStore, UntrustedStore
 from ..channel.handshake import TicketCache, handshake_in_process
 from ..channel.record import RECORD_OVERHEAD, Session, open_record, seal_record
 from ..clock import EventLoop
-from ..control.autoscale import Autoscaler, ScalePolicy
+from ..control.autoscale import Autoscaler
 from ..control.errors import NodeUnreachable
 from ..control.reconcile import Reconciler
-from ..control.slo import NodeObservation, SloController, SloPolicy, observation_from_samples
+from ..control.slo import NodeObservation, SloController, SloSettings, observation_from_samples
 from ..control.telemetry import NodeTelemetry, collect, epc_csv_row, service_csv_row
 from ..profiles import ModelProfile
 from ..serving.errors import NoEligibleEndpoint
@@ -65,7 +65,7 @@ from .metrics import (
     STATUS_TIMEOUT,
 )
 from .scenario import ScenarioConfig
-from .workload import WorkloadSpec, generate_arrivals, request_payload
+from .workload import generate_arrivals, request_payload
 
 INTERFERENCE_MEASUREMENT = crypto.sha256(b"enclave:interference-batch")
 
@@ -82,8 +82,9 @@ def _terminate(node: Node, enclave_id: str) -> None:
 class ClusterRunner:
     """One scenario's cluster and its schedule, on any clock.
 
-    A subclass supplies the clock and the request path: `_send(spec,
-    index)` runs at each request's due time, and `_drain()` waits for the
+    A subclass supplies the clock and the request path: `_send(index)`
+    runs at each request's due time and ends in `_complete`, the one rule
+    that records a request ok or timed out, and `_drain()` waits for the
     requests still in flight once every event has run. It extends
     `_make_replica` to serve each replica it starts, and `_retire_replica`
     to stop serving each one the reconciler stops.
@@ -102,7 +103,7 @@ class ClusterRunner:
         self.traffic_capture: list[bytes] = []
         self._capture = self.traffic_capture if config.capture_traffic else None
         self.crypto_rng = crypto.derived_rng(config.seed, "session-crypto")
-        self.interval = config.slo.sample_interval_s if config.slo else 1.0
+        self.interval = config.slo.sample_interval_s if config.slo else SloSettings.sample_interval_s
         self._telemetry: dict[str, NodeTelemetry] = {}
         self.telemetry_gaps = 0
         # the client's resumption tickets, and how each request's handshake went
@@ -129,7 +130,6 @@ class ClusterRunner:
                     root_seal_key=node_rng.randbytes(32),
                     platform_attestation_key=node_rng.randbytes(32),
                     epc_usable_bytes=node_config.epc_mib * MIB,
-                    cpu_cores=node_config.cores,
                 ),
                 t_ref=config.t_ref_pages_per_s,
             )
@@ -179,26 +179,9 @@ class ClusterRunner:
 
         if config.algorithm == "sgx_aware":
             assert config.slo is not None
-            policy = SloPolicy(
-                service_id=config.service_id,
-                slo_p99=self.profile.slo_s,
-                boundary_pages_per_s=config.slo.boundary_pages_per_s,
-                threshold_fraction=config.slo.theta,
-                consecutive_cycles=config.slo.consecutive_cycles,
-                sample_interval=config.slo.sample_interval_s,
-            )
-            self.controller = SloController(policy, self.vs)
-
+            self.controller = SloController(config.slo, self.vs)
         if autoscale.enabled:
-            self.autoscaler = Autoscaler(
-                ScalePolicy(
-                    service_id=config.service_id,
-                    target_utilization=autoscale.target_utilization,
-                    min_replicas=autoscale.min_replicas,
-                    max_replicas=autoscale.max_replicas,
-                    cooldown=autoscale.cooldown_s,
-                )
-            )
+            self.autoscaler = Autoscaler(autoscale)
 
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
         return start_replica(
@@ -286,32 +269,21 @@ class ClusterRunner:
             self.clock.call_at(when, action)
         for k in range(int(self.config.duration_s / self.interval) + 1):
             self.clock.call_at(k * self.interval, self._tick)
-        spec = self._workload()
-        self.arrivals = self._arrivals(spec)
+        self.arrivals = self._arrivals()
         for index, when in enumerate(self.arrivals):
-            self.clock.call_at(when, partial(self._send, spec, index))
+            self.clock.call_at(when, partial(self._send, index))
 
-    def _arrivals(self, spec: WorkloadSpec) -> list[float]:
+    def _arrivals(self) -> list[float]:
         # through the runner's own module: the benchmark stamps each
         # runner's `generate_arrivals` there
-        return generate_arrivals(spec)
+        return generate_arrivals(self.config)
 
     def _drain(self) -> None:
         """Wait for requests still in flight once every event has run."""
 
     # -- requests --------------------------------------------------------------------
 
-    def _workload(self) -> WorkloadSpec:
-        return WorkloadSpec(
-            service_id=self.config.service_id,
-            rate_per_s=self.config.workload.rate_per_s,
-            duration_s=self.config.duration_s,
-            rng_seed=self.config.seed,
-            payload_bytes=self.config.workload.payload_bytes,
-            timeout_s=self.config.workload.timeout_s,
-        )
-
-    def _pick(self, spec: WorkloadSpec, index: int, now: float) -> Endpoint | None:
+    def _pick(self, index: int, now: float) -> Endpoint | None:
         """Count request `index` as sent and dispatch it to a backend; with
         no backend eligible, record it rejected and return None."""
         self.recorder.count_send()
@@ -319,11 +291,28 @@ class ClusterRunner:
             endpoint = self.vs.pick_endpoint()
         except NoEligibleEndpoint:
             self.recorder.record(
-                RequestRecord(index, now, now, "", spec.timeout_s, STATUS_REJECTED)
+                RequestRecord(index, now, now, "", self.config.workload.timeout_s, STATUS_REJECTED)
             )
             return None
         self.vs.dispatch(endpoint)
         return endpoint
+
+    def _complete(self, endpoint: Endpoint, index: int, send_ts: float, now: float) -> None:
+        """Release `endpoint` and record request `index` as completed at
+        `now`: ok, or timed out at its deadline if `now` is at or after it
+        (the client gave up then and dropped any late response)."""
+        self.vs.complete(endpoint)
+        timeout_s = self.config.workload.timeout_s
+        deadline = send_ts + timeout_s
+        if now >= deadline:
+            record = RequestRecord(
+                index, send_ts, deadline, endpoint.endpoint_id, timeout_s, STATUS_TIMEOUT
+            )
+        else:
+            record = RequestRecord(
+                index, send_ts, now, endpoint.endpoint_id, now - send_ts, STATUS_OK
+            )
+        self.recorder.record(record)
 
     def _count_handshake(self, client_session: Session) -> None:
         with self._count_lock:
@@ -436,9 +425,9 @@ class VirtualRunner(ClusterRunner):
 
     # -- request path ------------------------------------------------------------------
 
-    def _send(self, spec: WorkloadSpec, index: int) -> None:
+    def _send(self, index: int) -> None:
         now = self.loop.now()
-        endpoint = self._pick(spec, index, now)
+        endpoint = self._pick(index, now)
         if endpoint is None:
             return
         client_session, server_session = handshake_in_process(
@@ -451,7 +440,7 @@ class VirtualRunner(ClusterRunner):
             capture=self._capture,
         )
         self._count_handshake(client_session)
-        payload = request_payload(spec, index)
+        payload = request_payload(self.config, index)
         wire_record = seal_record(client_session, payload, out=self._wire)
         if self._capture is not None:
             self._capture.append(bytes(wire_record))
@@ -468,7 +457,6 @@ class VirtualRunner(ClusterRunner):
         self._servers[endpoint.endpoint_id].submit(req)
 
     def complete_request(self, req: _Request) -> None:
-        now = self.loop.now()
         buffer = req.buffer
         # the response, service_time ‖ payload, is built in place
         RESPONSE_HEADER.pack_into(buffer, 0, req.service_time)
@@ -477,19 +465,7 @@ class VirtualRunner(ClusterRunner):
             self._capture.append(bytes(response))
         open_record(req.client_session, response, out=buffer)
         self._free_buffers.append(buffer)
-        self.vs.complete(req.endpoint)
-        timeout_s = self.config.workload.timeout_s
-        deadline = req.send_ts + timeout_s
-        if now >= deadline:
-            # the client gave up at its deadline; the late response is dropped
-            record = RequestRecord(
-                req.index, req.send_ts, deadline, req.endpoint.endpoint_id, timeout_s, STATUS_TIMEOUT
-            )
-        else:
-            record = RequestRecord(
-                req.index, req.send_ts, now, req.endpoint.endpoint_id, now - req.send_ts, STATUS_OK
-            )
-        self.recorder.record(record)
+        self._complete(req.endpoint, req.index, req.send_ts, self.loop.now())
 
     def _drain(self) -> None:
         # every request has completed: hand the buffers back

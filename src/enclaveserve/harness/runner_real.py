@@ -9,15 +9,16 @@ its request, and replicas listen on loopback TCP ports and serve each
 connection on its own thread. A request is one connection carrying a
 handshake (resumed once the runner's ticket cache holds a ticket) and
 encrypted records, all within one deadline of `timeout_s` from its send;
-a request that misses it or fails in any other way is recorded as timed
-out at that deadline. Service time is spent sleeping. The listeners follow
-the shared reconciler: each replica it starts opens one, and each replica
-it stops, scaled down or crashed and about to restart, closes its listener
-first, so autoscaling works as on the virtual clock. Before `run()`
-returns, every listener closes and waits, for a bounded time, for its
-threads to end. Every scenario field is honoured, `capture_traffic` by
-recording the keystore RPCs and every frame a client sends or receives.
-Timing is subject to scheduler jitter and runs are not reproducible.
+a request that misses it or fails in any other way completes at that
+deadline, and the shared completion rule records it as timed out. Service
+time is spent sleeping. The listeners follow the shared reconciler: each
+replica it starts opens one, and each replica it stops, scaled down or
+crashed and about to restart, closes its listener first, so autoscaling
+works as on the virtual clock. Before `run()` returns, every listener
+closes and waits, for a bounded time, for its threads to end. Every
+scenario field is honoured, `capture_traffic` by recording the keystore
+RPCs and every frame a client sends or receives. Timing is subject to
+scheduler jitter and runs are not reproducible.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from __future__ import annotations
 # names in this module by name: seal_record, open_record, start_replica,
 # collect, request_payload, RequestRecord, client_handshake,
 # server_handshake, SocketTransport, socket and generate_arrivals. So all
-# stay bound here, start_replica and collect too, although the shared core
-# in runner.py makes those two calls. The tracer joins a request's phases by
-# thread, so each request and each connection keeps its own thread.
+# stay bound here, start_replica, collect and RequestRecord too, although
+# the shared core in runner.py makes those calls. The tracer joins a
+# request's phases by thread, so each request and each connection keeps its
+# own thread.
 import random
 import socket
 import threading
@@ -48,10 +50,10 @@ from ..serving.replica import (  # noqa: F401
     encode_inference_response,
     start_replica,
 )
-from .metrics import RequestRecord, RunReport, STATUS_OK, STATUS_TIMEOUT
+from .metrics import RequestRecord, RunReport  # noqa: F401
 from .runner import ClusterRunner
 from .scenario import ScenarioConfig
-from .workload import WorkloadSpec, generate_arrivals, request_payload
+from .workload import generate_arrivals, request_payload
 
 # how long stop() waits for a listener's threads to end
 _STOP_JOIN_S = 5.0
@@ -108,7 +110,7 @@ class _ReplicaListener:
                         return  # the run is over: nobody waits for this response
                     token = self.replica.begin_request(clock.now())
                     response, service_time = self.replica.serve_inference(payload)
-                    time.sleep(service_time)
+                    clock.sleep(service_time)
                     self.replica.end_request(token, clock.now())
                 transport.send_frame(
                     seal_record(session, encode_inference_response(response, service_time))
@@ -155,8 +157,8 @@ class RealRunner(ClusterRunner):
         self.listeners.pop(replica.replica_id).stop()
         super()._retire_replica(replica)
 
-    def _arrivals(self, spec: WorkloadSpec) -> list[float]:
-        return generate_arrivals(spec)
+    def _arrivals(self) -> list[float]:
+        return generate_arrivals(self.config)
 
     def run(self) -> RunReport:
         try:
@@ -167,10 +169,8 @@ class RealRunner(ClusterRunner):
 
     # -- request path ------------------------------------------------------------------
 
-    def _send(self, spec: WorkloadSpec, index: int) -> None:
-        worker = threading.Thread(
-            target=self._request, args=(spec, index, self.clock.now()), daemon=True
-        )
+    def _send(self, index: int) -> None:
+        worker = threading.Thread(target=self._request, args=(index, self.clock.now()), daemon=True)
         worker.start()
         self._workers.append(worker)
 
@@ -179,11 +179,11 @@ class RealRunner(ClusterRunner):
         for worker in self._workers:
             worker.join(max(0.0, deadline - time.monotonic()))
 
-    def _request(self, spec: WorkloadSpec, index: int, send_ts: float) -> None:
-        endpoint = self._pick(spec, index, send_ts)
+    def _request(self, index: int, send_ts: float) -> None:
+        endpoint = self._pick(index, send_ts)
         if endpoint is None:
             return
-        deadline = send_ts + spec.timeout_s
+        deadline = send_ts + self.config.workload.timeout_s
 
         def left() -> float:
             # one deadline covers connect, handshake and response
@@ -208,27 +208,18 @@ class RealRunner(ClusterRunner):
                     timeout=left(),
                 )
                 self._count_handshake(session)
-                transport.send_frame(seal_record(session, request_payload(spec, index)))
+                transport.send_frame(seal_record(session, request_payload(self.config, index)))
                 response = open_record(session, transport.recv_frame(left()))
                 decode_inference_response(response)
             now = self.clock.now()
-            if now > deadline:
-                raise TimeoutError("response arrived after the deadline")
-            record = RequestRecord(
-                index, send_ts, now, endpoint.endpoint_id, now - send_ts, STATUS_OK
-            )
         except Exception as exc:
             # whatever went wrong, the client gives up at its deadline
             if not isinstance(exc, (SecureChannelError, OSError)):
                 import logging  # here: the import costs 0.25 MiB that a healthy run never needs
 
                 logging.getLogger(__name__).exception("request %d failed", index)
-            record = RequestRecord(
-                index, send_ts, deadline, endpoint.endpoint_id, spec.timeout_s, STATUS_TIMEOUT
-            )
-        finally:
-            self.vs.complete(endpoint)
-        self.recorder.record(record)
+            now = deadline
+        self._complete(endpoint, index, send_ts, now)
 
 
 def run_scenario_real(config: ScenarioConfig, store: UntrustedStore | None = None) -> RunReport:

@@ -1,6 +1,9 @@
 """Scenario configuration: schema, validation, and preset builders.
 
-A scenario file is YAML with this shape (see README for field docs):
+A scenario file is YAML with this shape (see README for field docs). Each
+section loads into the dataclass that holds it, which the components read
+as `validate()` left it. A key left out takes its field's default; a key
+that no field takes is rejected with ConfigInvalid:
 
     name: lb-high-mobilenet_v1_float-sgx_aware
     seed: 42
@@ -8,9 +11,9 @@ A scenario file is YAML with this shape (see README for field docs):
     cluster:
       t_ref_pages_per_s: 10000.0
       nodes:
-        - {id: node-a, cores: 2}
-        - {id: node-b, cores: 2}
-        - {id: node-c, cores: 2}
+        - {id: node-a}
+        - {id: node-b}
+        - {id: node-c}
     aecs:
       replicas:
         - {id: aecs-0, node: node-a}
@@ -48,6 +51,8 @@ comparison runs, so the load stays satisfiable when one backend is stopped.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,8 +60,12 @@ import yaml
 
 from ..channel.record import RECORD_OVERHEAD
 from ..channel.transport import MAX_FRAME
+from ..control.autoscale import AutoscaleSettings
+from ..control.slo import SloSettings
 from ..profiles import PRESETS, ModelProfile
 from ..serving.replica import RESPONSE_HEADER
+from ..substrate.node import DEFAULT_EPC_USABLE_BYTES, MIB
+from ..substrate.paging import DEFAULT_T_REF_PAGES_PER_S
 from .errors import ConfigInvalid
 
 SCALED_DURATION_S = 60.0
@@ -84,31 +93,13 @@ PROFILED_BOUNDARIES: dict[str, float] = {
 @dataclass(frozen=True)
 class NodeConfig:
     node_id: str
-    cores: int = 2
-    epc_mib: int = 93
+    epc_mib: int = DEFAULT_EPC_USABLE_BYTES // MIB
 
 
 @dataclass(frozen=True)
 class Placement:
     replica_id: str
     node_id: str
-
-
-@dataclass(frozen=True)
-class SloSettings:
-    boundary_pages_per_s: float
-    theta: float = 0.70
-    consecutive_cycles: int = 5
-    sample_interval_s: float = 1.0
-
-
-@dataclass(frozen=True)
-class AutoscaleSettings:
-    enabled: bool = False
-    target_utilization: float = 0.6
-    min_replicas: int = 1
-    max_replicas: int = 6
-    cooldown_s: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -135,11 +126,11 @@ class ScenarioConfig:
     service_id: str
     model: str
     algorithm: str
-    parallelism: int
     replica_placements: tuple[Placement, ...]
     workload: WorkloadSettings
+    parallelism: int = 2
     seed: int = 0
-    t_ref_pages_per_s: float = 10000.0
+    t_ref_pages_per_s: float = DEFAULT_T_REF_PAGES_PER_S
     slo: SloSettings | None = None
     autoscale: AutoscaleSettings = field(default_factory=AutoscaleSettings)
     interference: tuple[InterferenceSettings, ...] = ()
@@ -159,8 +150,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigInvalid("cluster needs at least one node")
     if len(set(node_ids)) != len(node_ids):
         raise ConfigInvalid("duplicate node ids")
-    if any(n.cores < 1 or n.epc_mib < 1 for n in config.nodes):
-        raise ConfigInvalid("node cores and epc_mib must be >= 1")
+    if any(n.epc_mib < 1 for n in config.nodes):
+        raise ConfigInvalid("node epc_mib must be >= 1")
     if config.duration_s <= 0:
         raise ConfigInvalid("duration_s must be positive")
     if config.model not in PRESETS:
@@ -224,86 +215,80 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
 # -- YAML loading ----------------------------------------------------------------
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigInvalid(f"missing {key!r} in {where}")
-    return mapping[key]
+# YAML key -> field, for each section whose keys and fields differ
+_KEYS: dict[type, dict[str, str]] = {
+    NodeConfig: {"id": "node_id"},
+    Placement: {"id": "replica_id", "node": "node_id"},
+    InterferenceSettings: {"node": "node_id"},
+    ScenarioConfig: {
+        "cluster.t_ref_pages_per_s": "t_ref_pages_per_s",
+        "cluster.nodes": "nodes",
+        "aecs.replicas": "aecs_placements",
+        "service.id": "service_id",
+        "service.model": "model",
+        "service.algorithm": "algorithm",
+        "service.parallelism": "parallelism",
+        "service.replicas": "replica_placements",
+        "policies.slo": "slo",
+        "policies.autoscale": "autoscale",
+    },
+}
+# the YAML mappings that group ScenarioConfig's own fields
+_GROUPS = {key.split(".")[0] for key in _KEYS[ScenarioConfig]}
+
+
+def _section(cls, raw, where: str):
+    """Build the dataclass `cls` from the YAML mapping `raw`.
+
+    Each value is converted to its field's type. A missing key takes the
+    field's default, and a key that names no field raises ConfigInvalid.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"{where} must be a mapping")
+    keys = _KEYS.get(cls, {})
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in raw.items():
+        name = keys.get(key, key)
+        # a renamed field is set only by its own YAML key
+        if name not in types or (key not in keys and name in keys.values()):
+            raise ConfigInvalid(f"unknown key {key!r} in {where}")
+        kwargs[name] = _value(types[name], value, f"{where}.{key}")
+    for f in dataclasses.fields(cls):
+        if f.name not in kwargs and f.default is f.default_factory is dataclasses.MISSING:
+            key = next((k for k, name in keys.items() if name == f.name), f.name)
+            raise ConfigInvalid(f"missing {key!r} in {where}")
+    return cls(**kwargs)
+
+
+def _value(tp, value, where: str):
+    """`value` as the type `tp`: a section, an optional, a tuple or a scalar."""
+    args = typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _section(tp, value, where)
+    if type(None) in args:
+        return None if value is None else _value(args[0], value, where)
+    if args and args[-1] is Ellipsis:
+        return tuple(_value(args[0], item, f"{where}[]") for item in value)
+    if args:
+        return tuple(_value(a, v, where) for a, v in zip(args, value, strict=True))
+    if tp is bool and not isinstance(value, bool):
+        raise ConfigInvalid(f"{where} must be true or false")  # bool("false") is True
+    return tp(value)
 
 
 def from_dict(raw: dict) -> ScenarioConfig:
     try:
-        cluster = _require(raw, "cluster", "scenario")
-        nodes = tuple(
-            NodeConfig(
-                node_id=_require(n, "id", "cluster.nodes"),
-                cores=int(n.get("cores", 2)),
-                epc_mib=int(n.get("epc_mib", 93)),
-            )
-            for n in _require(cluster, "nodes", "cluster")
-        )
-        aecs = raw.get("aecs", {})
-        aecs_placements = tuple(
-            Placement(_require(r, "id", "aecs.replicas"), _require(r, "node", "aecs.replicas"))
-            for r in aecs.get("replicas", [])
-        )
-        service = _require(raw, "service", "scenario")
-        replica_placements = tuple(
-            Placement(_require(r, "id", "service.replicas"), _require(r, "node", "service.replicas"))
-            for r in _require(service, "replicas", "service")
-        )
-        policies = raw.get("policies", {})
-        slo_raw = policies.get("slo")
-        slo = (
-            SloSettings(
-                boundary_pages_per_s=float(_require(slo_raw, "boundary_pages_per_s", "policies.slo")),
-                theta=float(slo_raw.get("theta", 0.70)),
-                consecutive_cycles=int(slo_raw.get("consecutive_cycles", 5)),
-                sample_interval_s=float(slo_raw.get("sample_interval_s", 1.0)),
-            )
-            if slo_raw
-            else None
-        )
-        autoscale_raw = policies.get("autoscale", {})
-        autoscale = AutoscaleSettings(
-            enabled=bool(autoscale_raw.get("enabled", False)),
-            target_utilization=float(autoscale_raw.get("target_utilization", 0.6)),
-            min_replicas=int(autoscale_raw.get("min_replicas", 1)),
-            max_replicas=int(autoscale_raw.get("max_replicas", 6)),
-            cooldown_s=float(autoscale_raw.get("cooldown_s", 30.0)),
-        )
-        workload_raw = _require(raw, "workload", "scenario")
-        workload = WorkloadSettings(
-            rate_per_s=float(_require(workload_raw, "rate_per_s", "workload")),
-            payload_bytes=int(workload_raw.get("payload_bytes", 64)),
-            timeout_s=float(workload_raw.get("timeout_s", 10.0)),
-        )
-        interference = tuple(
-            InterferenceSettings(
-                node_id=_require(s, "node", "interference"),
-                windows=tuple((float(a), float(b)) for a, b in _require(s, "windows", "interference")),
-                epc_mib=int(_require(s, "epc_mib", "interference")),
-                rate_pages_per_s=float(_require(s, "rate_pages_per_s", "interference")),
-            )
-            for s in raw.get("interference", [])
-        )
-        config = ScenarioConfig(
-            name=str(_require(raw, "name", "scenario")),
-            seed=int(raw.get("seed", 0)),
-            duration_s=float(_require(raw, "duration_s", "scenario")),
-            t_ref_pages_per_s=float(cluster.get("t_ref_pages_per_s", 10000.0)),
-            nodes=nodes,
-            aecs_placements=aecs_placements,
-            service_id=str(_require(service, "id", "service")),
-            model=str(_require(service, "model", "service")),
-            algorithm=str(_require(service, "algorithm", "service")),
-            parallelism=int(service.get("parallelism", 2)),
-            replica_placements=replica_placements,
-            workload=workload,
-            slo=slo,
-            autoscale=autoscale,
-            interference=interference,
-            capture_traffic=bool(raw.get("capture_traffic", False)),
-        )
+        # lift each group's keys to the top level as "group.key"
+        flat = {}
+        for key, value in raw.items():
+            if key in _GROUPS:
+                if not isinstance(value, dict):
+                    raise ConfigInvalid(f"{key} must be a mapping")
+                flat.update({f"{key}.{sub}": v for sub, v in value.items()})
+            else:
+                flat[key] = value
+        config = _section(ScenarioConfig, flat, "scenario")
     except ConfigInvalid:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -324,21 +309,19 @@ def load_scenario(path: Path | str) -> ScenarioConfig:
 # -- preset builders ------------------------------------------------------------
 
 
-def _three_node_cluster() -> tuple[NodeConfig, ...]:
-    return (
-        NodeConfig("node-a", cores=2),
-        NodeConfig("node-b", cores=2),
-        NodeConfig("node-c", cores=2),
-    )
+# the preset cluster: three nodes with one replica slot each
+_NODES = tuple(NodeConfig(node_id) for node_id in ("node-a", "node-b", "node-c"))
+_REPLICAS = tuple(Placement(f"r{i}", node.node_id) for i, node in enumerate(_NODES))
 
 
-def per_replica_capacity(model: str, parallelism: int = 2) -> float:
+def per_replica_capacity(model: str, parallelism: int) -> float:
     return parallelism / PRESETS[model].base_time_s
 
 
-def lb_rate(model: str, parallelism: int = 2) -> float:
-    """60% of two-replica capacity, matching the comparison setup."""
-    return LOAD_FRACTION * 2 * per_replica_capacity(model, parallelism)
+def lb_rate(model: str) -> float:
+    """60% of two-replica capacity at the default parallelism, matching the
+    comparison setup."""
+    return LOAD_FRACTION * 2 * per_replica_capacity(model, ScenarioConfig.parallelism)
 
 
 def build_lb_scenario(
@@ -368,17 +351,12 @@ def build_lb_scenario(
             name=f"lb-{interference_level}-{model}-{algorithm}",
             seed=seed,
             duration_s=SCALED_DURATION_S,
-            nodes=_three_node_cluster(),
+            nodes=_NODES,
             aecs_placements=(Placement("aecs-0", "node-b"),),
             service_id="imgclass",
             model=model,
             algorithm=algorithm,
-            parallelism=2,
-            replica_placements=(
-                Placement("r0", "node-a"),
-                Placement("r1", "node-b"),
-                Placement("r2", "node-c"),
-            ),
+            replica_placements=_REPLICAS,
             workload=WorkloadSettings(rate_per_s=lb_rate(model)),
             slo=SloSettings(boundary_pages_per_s=PROFILED_BOUNDARIES[model]),
             interference=interference,
@@ -387,7 +365,7 @@ def build_lb_scenario(
     )
 
 
-SCALING_CORES = 8
+SCALING_PARALLELISM = 8
 SCALING_LOAD_FRACTION = 0.3
 
 
@@ -402,24 +380,19 @@ def build_scaling_scenario(model: str, replicas: int, seed: int = 0) -> Scenario
         raise ConfigInvalid(f"unknown model preset {model!r}")
     if not 1 <= replicas <= 3:
         raise ConfigInvalid("scaling scenario supports 1..3 replicas")
-    placements = (
-        Placement("r0", "node-a"),
-        Placement("r1", "node-b"),
-        Placement("r2", "node-c"),
-    )[:replicas]
-    rate = SCALING_LOAD_FRACTION * replicas * per_replica_capacity(model, SCALING_CORES)
+    rate = SCALING_LOAD_FRACTION * replicas * per_replica_capacity(model, SCALING_PARALLELISM)
     return validate(
         ScenarioConfig(
             name=f"scaling-{model}-{replicas}x",
             seed=seed,
             duration_s=SCALED_DURATION_S,
-            nodes=tuple(NodeConfig(n, cores=SCALING_CORES) for n in ("node-a", "node-b", "node-c")),
+            nodes=_NODES,
             aecs_placements=(Placement("aecs-0", "node-b"),),
             service_id="imgclass",
             model=model,
             algorithm="sed",
-            parallelism=SCALING_CORES,
-            replica_placements=placements,
+            parallelism=SCALING_PARALLELISM,
+            replica_placements=_REPLICAS[:replicas],
             workload=WorkloadSettings(rate_per_s=rate),
             slo=SloSettings(boundary_pages_per_s=PROFILED_BOUNDARIES[model]),
         )

@@ -1,48 +1,34 @@
 """Open-loop Poisson workload generation.
 
-The full arrival stream is drawn up front from the workload seed, so send
+The full arrival stream is drawn up front from the scenario seed, so send
 times cannot depend on response latencies and identical seeds give
-identical streams.
+identical streams. Both functions read the validated `ScenarioConfig`:
+its `workload` section, `duration_s`, `seed` and `service_id`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+
+from .scenario import ScenarioConfig
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    service_id: str
-    rate_per_s: float
-    duration_s: float
-    rng_seed: int = 0
-    payload_bytes: int = 64
-    timeout_s: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.payload_bytes < 1 or self.timeout_s <= 0:
-            raise ValueError("payload_bytes and timeout_s must be positive")
-
-
-def generate_arrivals(spec: WorkloadSpec) -> list[float]:
+def generate_arrivals(config: ScenarioConfig) -> list[float]:
     """Send offsets in [0, duration): i.i.d. exponential gaps, mean 1/rate."""
-    rng = random.Random(spec.rng_seed)
+    rate = config.workload.rate_per_s
+    rng = random.Random(config.seed)
     arrivals: list[float] = []
-    t = rng.expovariate(spec.rate_per_s)
-    while t < spec.duration_s:
+    t = rng.expovariate(rate)
+    while t < config.duration_s:
         arrivals.append(t)
-        t += rng.expovariate(spec.rate_per_s)
+        t += rng.expovariate(rate)
     return arrivals
 
 
-def request_payload(spec: WorkloadSpec, index: int) -> bytes:
+def request_payload(config: ScenarioConfig, index: int) -> bytes:
     """Deterministic opaque payload for request `index`."""
-    seed = hashlib.sha256(f"{spec.service_id}:{spec.rng_seed}:{index}".encode()).digest()
-    reps = (spec.payload_bytes + len(seed) - 1) // len(seed)
-    return (seed * reps)[: spec.payload_bytes]
+    seed = hashlib.sha256(f"{config.service_id}:{config.seed}:{index}".encode()).digest()
+    size = config.workload.payload_bytes
+    reps = (size + len(seed) - 1) // len(seed)
+    return (seed * reps)[:size]

@@ -24,7 +24,6 @@ class ModelProfile:
     enclave_requested_bytes: int
     enclave_working_set_bytes: int
     enclave_page_rate: float
-    measurement_seed: str = ""
 
     def sample_base_time(self, rng: random.Random) -> float:
         if self.jitter_sigma <= 0:
@@ -34,9 +33,7 @@ class ModelProfile:
     def measurement(self) -> bytes:
         import hashlib
 
-        return hashlib.sha256(
-            f"model:{self.measurement_seed or self.profile_id}".encode()
-        ).digest()
+        return hashlib.sha256(f"model:{self.profile_id}".encode()).digest()
 
     def enclave_spec(self, enclave_id: str) -> EnclaveSpec:
         return EnclaveSpec(

@@ -97,7 +97,7 @@ class ModelServerReplica:
 
 
 def replica_cpu_utilization(replica: ModelServerReplica, window: float, now: float) -> float:
-    """Busy time over the window divided by (window x allotted cores), in [0, 1]."""
+    """Busy time over the window divided by (window x parallelism), in [0, 1]."""
     if window <= 0:
         raise ValueError("window must be positive")
     busy = replica.busy_time(now - window, now)

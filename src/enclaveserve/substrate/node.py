@@ -35,13 +35,10 @@ class NodeSpec:
     root_seal_key: bytes
     platform_attestation_key: bytes
     epc_usable_bytes: int = DEFAULT_EPC_USABLE_BYTES
-    cpu_cores: int = 1
 
     def __post_init__(self) -> None:
         if self.epc_usable_bytes <= 0:
             raise ValueError("epc_usable_bytes must be positive")
-        if self.cpu_cores < 1:
-            raise ValueError("cpu_cores must be >= 1")
         if len(self.root_seal_key) != 32 or len(self.platform_attestation_key) != 32:
             raise ValueError("node keys must be 32 bytes")
 

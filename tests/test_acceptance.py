@@ -17,9 +17,9 @@ from enclaveserve import crypto
 from enclaveserve.aecs import AecsDeployment, AecsReplica, MemoryStore
 from enclaveserve.aecs.service import AECS_MEASUREMENT
 from enclaveserve.channel import RecordTampered, ReplayDetected, handshake_in_process, seal_record, open_record
-from enclaveserve.clock import EventLoop
+from enclaveserve.clock import EventLoop, RealClock
 from enclaveserve.confine import taint_events
-from enclaveserve.control import NodeObservation, SloController, SloPolicy, profile_boundary
+from enclaveserve.control import NodeObservation, SloController, SloSettings, profile_boundary
 from enclaveserve.control.profiler import DEFAULT_SWEEP_MIB
 from enclaveserve.harness import (
     build_lb_scenario,
@@ -150,15 +150,10 @@ def _controller(boundary=1000.0):
         node=_Attr(node_id="node-0"), enclave=_Attr(spec=_Attr(enclave_id="svc/r0"))
     )
     vs.add_endpoint(Endpoint(endpoint_id="r0", replica=replica))
-    policy = SloPolicy(
-        service_id="svc",
-        slo_p99=0.1,
-        boundary_pages_per_s=boundary,
-        threshold_fraction=0.70,
-        consecutive_cycles=5,
-        sample_interval=1.0,
+    settings = SloSettings(
+        boundary_pages_per_s=boundary, theta=0.70, consecutive_cycles=5, sample_interval_s=1.0
     )
-    return SloController(policy, vs), vs
+    return SloController(settings, vs), vs
 
 
 def test_criterion_5_controller_automaton_conformance():
@@ -229,7 +224,7 @@ def test_criterion_6_bootstrap_race_and_restart_drill(tmp_path):
             replicas.append(
                 AecsReplica(
                     f"a{i}", enclave, deployment, rep_dir / f"a{i}.sealed",
-                    random.Random(rep * 1000 + i),
+                    random.Random(rep * 1000 + i), RealClock(),
                 )
             )
         threads = [threading.Thread(target=r.bootstrap) for r in replicas]
@@ -252,7 +247,7 @@ def test_criterion_6_bootstrap_race_and_restart_drill(tmp_path):
             fresh = [
                 AecsReplica(
                     f"a{i}", replicas[i].enclave, revived, rep_dir / f"a{i}.sealed",
-                    random.Random(5000 + i),
+                    random.Random(5000 + i), RealClock(),
                 )
                 for i in range(3)
             ]

@@ -29,6 +29,7 @@ from enclaveserve.aecs import (
 )
 from enclaveserve.aecs.service import AECS_MEASUREMENT
 from enclaveserve.aecs import wire
+from enclaveserve.clock import EventLoop, RealClock
 from enclaveserve.confine import ConfinedSecret
 from enclaveserve.substrate.node import EnclaveSpec, MIB
 
@@ -61,21 +62,24 @@ def cluster(substrate, tmp_path):
     return substrate, deployment, enclaves
 
 
-def make_replica(deployment, enclave, tmp_path, i: int, seed=None) -> AecsReplica:
+def make_replica(deployment, enclave, tmp_path, i: int, seed=None, clock=None) -> AecsReplica:
+    """A keystore replica on `clock`: the virtual clock unless a test races
+    replicas on threads, which must wait on the wall clock for each other."""
     return AecsReplica(
         replica_id=f"a{i}",
         enclave=enclave,
         deployment=deployment,
         sealed_path=tmp_path / f"a{i}.sealed",
         rng=random.Random(seed if seed is not None else 1000 + i),
+        clock=clock if clock is not None else EventLoop(),
     )
 
 
-def bootstrapped(cluster, tmp_path, n=3):
+def bootstrapped(cluster, tmp_path, n=3, clock=None):
     substrate, deployment, enclaves = cluster
     replicas = []
     for i in range(n):
-        replica = make_replica(deployment, enclaves[i], tmp_path, i)
+        replica = make_replica(deployment, enclaves[i], tmp_path, i, clock=clock)
         replica.bootstrap()
         replicas.append(replica)
     return substrate, deployment, replicas
@@ -173,7 +177,9 @@ def test_sequential_bootstrap_single_generation(cluster, tmp_path):
 
 def test_concurrent_bootstrap_race(cluster, tmp_path):
     substrate, deployment, enclaves = cluster
-    replicas = [make_replica(deployment, enclaves[i], tmp_path, i) for i in range(3)]
+    replicas = [
+        make_replica(deployment, enclaves[i], tmp_path, i, clock=RealClock()) for i in range(3)
+    ]
     threads = [threading.Thread(target=r.bootstrap) for r in replicas]
     for t in threads:
         t.start()
@@ -247,13 +253,12 @@ def test_bootstrap_timeout_without_any_source(substrate, tmp_path):
     store = MemoryStore()
     store.create_if_absent(LEADER_OBJECT, b"g" * 16)  # election already lost
     deployment = AecsDeployment(
-        measurement=AECS_MEASUREMENT,
-        registry=substrate.registry,
-        store=store,
-        bootstrap_timeout=0.05,
+        measurement=AECS_MEASUREMENT, registry=substrate.registry, store=store
     )
     node = substrate.add_node(make_node_spec("lonely"))
     replica = make_replica(deployment, node.launch_enclave(aecs_enclave_spec(0)), tmp_path, 0)
+    # every poll of the virtual clock returns at once: the replica gives up
+    # after its bounded number of polls without waiting on the wall clock
     with pytest.raises(BootstrapTimeout):
         replica.bootstrap()
 
@@ -292,7 +297,7 @@ def test_create_delete_roundtrip(cluster, tmp_path):
 
 
 def test_concurrent_creates_merge_and_advance_version_by_two(cluster, tmp_path):
-    _, deployment, replicas = bootstrapped(cluster, tmp_path)
+    _, deployment, replicas = bootstrapped(cluster, tmp_path, clock=RealClock())
 
     def create(replica, service_id):
         replica.create_service_pki(service_id, MODEL_MEASUREMENT)
@@ -311,7 +316,7 @@ def test_concurrent_creates_merge_and_advance_version_by_two(cluster, tmp_path):
 
 
 def test_delete_concurrent_with_create(cluster, tmp_path):
-    _, _, replicas = bootstrapped(cluster, tmp_path)
+    _, _, replicas = bootstrapped(cluster, tmp_path, clock=RealClock())
     replicas[0].create_service_pki("old", MODEL_MEASUREMENT)
     threads = [
         threading.Thread(target=replicas[0].delete_service_pki, args=("old",)),
@@ -354,7 +359,6 @@ def test_cas_retries_exhaust(cluster, tmp_path):
             return inner.create_if_absent(name, data)
 
     deployment.store = AlwaysConflict()
-    deployment.cas_backoff = 0.0
     with pytest.raises(StoreConflictExhausted):
         replicas[0].create_service_pki("svc", MODEL_MEASUREMENT)
 

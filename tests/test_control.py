@@ -9,15 +9,15 @@ import pytest
 
 from enclaveserve.control import (
     Autoscaler,
+    AutoscaleSettings,
     EpcSample,
     InsufficientSamples,
     NodeObservation,
     NodeTelemetry,
     PlacementFailure,
     Reconciler,
-    ScalePolicy,
     SloController,
-    SloPolicy,
+    SloSettings,
     SloUnattainable,
     autoscale_step,
     collect,
@@ -121,14 +121,8 @@ def controller_fixture(n_endpoints=1, boundary=1000.0, theta=0.70, cycles=5):
     for i in range(n_endpoints):
         replica = FakeReplica(FakeNode(f"node-{i}"), FakeEnclave(FakeEnclaveSpec(f"svc/r{i}")))
         vs.add_endpoint(Endpoint(endpoint_id=f"r{i}", replica=replica))
-    policy = SloPolicy(
-        service_id="svc",
-        slo_p99=0.1,
-        boundary_pages_per_s=boundary,
-        threshold_fraction=theta,
-        consecutive_cycles=cycles,
-    )
-    return SloController(policy, vs), vs
+    settings = SloSettings(boundary_pages_per_s=boundary, theta=theta, consecutive_cycles=cycles)
+    return SloController(settings, vs), vs
 
 
 def obs(throughput, interference=True, own="svc/r0"):
@@ -141,8 +135,8 @@ def obs(throughput, interference=True, own="svc/r0"):
 def test_five_consecutive_above_threshold_zeroes_weight():
     # the paper-tuned defaults: five cycles at 70% of the boundary
     controller, vs = controller_fixture()
-    assert controller.policy.threshold_fraction == 0.70
-    assert controller.policy.consecutive_cycles == 5
+    assert SloSettings(boundary_pages_per_s=1000.0) == SloSettings(1000.0, 0.70, 5)
+    assert controller.threshold == pytest.approx(700.0)
     for cycle in range(4):
         controller.step({"node-0": obs(800.0)})
         assert vs.endpoint("r0").weight == 1
@@ -247,10 +241,10 @@ def test_controller_matches_reference_automaton_small():
 
 def policy(**kwargs):
     defaults = dict(
-        service_id="svc", target_utilization=0.6, min_replicas=1, max_replicas=10, cooldown=30.0
+        enabled=True, target_utilization=0.6, min_replicas=1, max_replicas=10, cooldown_s=30.0
     )
     defaults.update(kwargs)
-    return ScalePolicy(**defaults)
+    return AutoscaleSettings(**defaults)
 
 
 def test_autoscale_ceil_formula():
@@ -277,14 +271,14 @@ def test_autoscale_uses_in_service_count_not_total():
 
 
 def test_cooldown_suppresses_changes():
-    scaler = Autoscaler(policy(cooldown=10.0))
+    scaler = Autoscaler(policy(cooldown_s=10.0))
     assert scaler.step(0.0, 3, [0.9, 0.9, 0.9]) == 5
     assert scaler.step(5.0, 5, [0.2] * 5) == 5  # inside cooldown
     assert scaler.step(11.0, 5, [0.2] * 5) == 2
 
 
 def test_fixed_point_no_oscillation():
-    scaler = Autoscaler(policy(cooldown=2.0))
+    scaler = Autoscaler(policy(cooldown_s=2.0))
     count = 3
     for t in range(40):
         # stationary load: utilization consistent with the current count
@@ -468,9 +462,9 @@ def test_control_plane_matches_reference_over_random_traces():
         cycles = rng.choice([1, 2, 3])
         vs = VirtualService("svc", "sed")
         controller = SloController(
-            SloPolicy("svc", 0.1, 1000.0, threshold_fraction=0.7, consecutive_cycles=cycles), vs
+            SloSettings(1000.0, theta=0.7, consecutive_cycles=cycles), vs
         )
-        scaler = Autoscaler(policy(target_utilization=0.5, max_replicas=4, cooldown=cooldown))
+        scaler = Autoscaler(policy(target_utilization=0.5, max_replicas=4, cooldown_s=cooldown))
 
         def starter(replica_id, node_id):
             return StubReplica(replica_id, FakeNode(node_id))

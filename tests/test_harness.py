@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
 import socket
@@ -12,16 +13,18 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enclaveserve
+from enclaveserve.aecs import MemoryStore, VersionConflict
 from enclaveserve.channel.handshake import server_handshake
 from enclaveserve.channel.transport import MAX_FRAME
 from enclaveserve.cli import main as cli_main
 from enclaveserve.control import profile_boundary
 from enclaveserve.harness import (
     STATUS_OK,
+    STATUS_REJECTED,
     STATUS_TIMEOUT,
     ConfigInvalid,
     EmptySamples,
-    WorkloadSpec,
     build_lb_scenario,
     build_scaling_scenario,
     emit_report,
@@ -37,7 +40,7 @@ from enclaveserve.harness.report import (
 )
 from enclaveserve.harness import runner as runner_module
 from enclaveserve.harness import runner_real
-from enclaveserve.harness.runner import VirtualRunner, _Request
+from enclaveserve.harness.runner import ClusterRunner, VirtualRunner, _Request
 from enclaveserve.harness.runner_real import RealRunner
 from enclaveserve.harness.scenario import (
     PROFILED_BOUNDARIES,
@@ -48,7 +51,7 @@ from enclaveserve.harness.scenario import (
     from_dict,
 )
 from enclaveserve.profiles import PRESETS
-from enclaveserve.serving import ModelServerReplica, crash_replica
+from enclaveserve.serving import Endpoint, ModelServerReplica, crash_replica
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -56,9 +59,15 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # -- workload ---------------------------------------------------------------------
 
 
+def workload_config(rate_per_s: float, duration_s: float, seed: int):
+    base = build_lb_scenario("mobilenet_v1_float", "rr", "none", seed=seed)
+    return dataclasses.replace(
+        base, duration_s=duration_s, workload=WorkloadSettings(rate_per_s=rate_per_s)
+    )
+
+
 def test_mean_gap_is_inverse_rate():
-    spec = WorkloadSpec("svc", rate_per_s=50.0, duration_s=400.0, rng_seed=3)
-    arrivals = generate_arrivals(spec)
+    arrivals = generate_arrivals(workload_config(50.0, 400.0, seed=3))
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
     assert len(gaps) > 10_000
     mean_gap = sum(gaps) / len(gaps)
@@ -66,27 +75,19 @@ def test_mean_gap_is_inverse_rate():
 
 
 def test_same_seed_identical_stream():
-    spec = WorkloadSpec("svc", rate_per_s=100.0, duration_s=10.0, rng_seed=9)
-    assert generate_arrivals(spec) == generate_arrivals(spec)
+    config = workload_config(100.0, 10.0, seed=9)
+    assert generate_arrivals(config) == generate_arrivals(config)
 
 
 def test_different_seed_different_stream():
-    a = WorkloadSpec("svc", rate_per_s=100.0, duration_s=10.0, rng_seed=1)
-    b = WorkloadSpec("svc", rate_per_s=100.0, duration_s=10.0, rng_seed=2)
+    a = workload_config(100.0, 10.0, seed=1)
+    b = workload_config(100.0, 10.0, seed=2)
     assert generate_arrivals(a) != generate_arrivals(b)
 
 
 def test_arrivals_inside_duration():
-    spec = WorkloadSpec("svc", rate_per_s=20.0, duration_s=5.0, rng_seed=4)
-    arrivals = generate_arrivals(spec)
+    arrivals = generate_arrivals(workload_config(20.0, 5.0, seed=4))
     assert all(0 <= t < 5.0 for t in arrivals)
-
-
-def test_workload_validation():
-    with pytest.raises(ValueError):
-        WorkloadSpec("svc", rate_per_s=0.0, duration_s=1.0)
-    with pytest.raises(ValueError):
-        WorkloadSpec("svc", rate_per_s=1.0, duration_s=0.0)
 
 
 # -- percentile -------------------------------------------------------------------
@@ -144,7 +145,7 @@ def test_yaml_roundtrip(tmp_path):
         "name": "demo",
         "seed": 5,
         "duration_s": 10.0,
-        "cluster": {"nodes": [{"id": "n1", "cores": 2}, {"id": "n2"}]},
+        "cluster": {"nodes": [{"id": "n1", "epc_mib": 64}, {"id": "n2"}]},
         "aecs": {"replicas": [{"id": "a0", "node": "n1"}]},
         "service": {
             "id": "svc",
@@ -159,7 +160,10 @@ def test_yaml_roundtrip(tmp_path):
     config = load_scenario(path)
     assert config.name == "demo"
     assert config.seed == 5
-    assert config.nodes[1].cores == 2
+    assert config.nodes[0].epc_mib == 64
+    assert config.nodes[1].epc_mib == 93  # the default
+    assert config.workload == WorkloadSettings(rate_per_s=10.0, payload_bytes=64, timeout_s=10.0)
+    assert config.slo is None and config.autoscale == AutoscaleSettings(enabled=False)
 
 
 @pytest.mark.parametrize(
@@ -169,12 +173,16 @@ def test_yaml_roundtrip(tmp_path):
         (lambda raw: raw["service"].update(model="resnet152"), "model"),
         (lambda raw: raw["service"]["replicas"].append({"id": "r9", "node": "ghost"}), "node"),
         (lambda raw: raw.update(duration_s=-1), "duration"),
+        (lambda raw: raw.update(duration_s=0), "zero-duration"),
         (lambda raw: raw.pop("workload"), "workload"),
+        (lambda raw: raw["workload"].update(rate_per_s=0), "rate"),
         (lambda raw: raw["workload"].update(payload_bytes=0), "payload"),
         (lambda raw: raw["workload"].update(payload_bytes=MAX_FRAME - 35), "frame"),
+        # `cores` is no field: a file that still sets it is rejected
         (lambda raw: raw["cluster"]["nodes"][0].update(cores=0), "cores"),
         (lambda raw: raw["cluster"]["nodes"][0].update(epc_mib=0), "epc"),
         (lambda raw: raw["aecs"]["replicas"].append({"id": "a0", "node": "n1"}), "keystore-ids"),
+        (lambda raw: raw.update(capture_traffic="no"), "quoted-bool"),
     ],
 )
 def test_config_invalid_cases(mutate, message):
@@ -193,6 +201,62 @@ def test_config_invalid_cases(mutate, message):
     }
     mutate(raw)
     with pytest.raises(ConfigInvalid):
+        from_dict(raw)
+
+
+SLO = {"boundary_pages_per_s": 4950.0}
+WINDOW = {"node": "n1", "windows": [[1.0, 2.0]], "epc_mib": 93, "rate_pages_per_s": 1000.0}
+
+
+@pytest.mark.parametrize(
+    "mutate,key",
+    [
+        pytest.param(lambda raw: raw.update(capture=True), "capture", id="top-level"),
+        pytest.param(lambda raw: raw.update(model="x"), "model", id="misplaced-service-key"),
+        pytest.param(lambda raw: raw["cluster"].update(t_ref=1.0), "cluster.t_ref", id="cluster"),
+        pytest.param(
+            lambda raw: raw["cluster"]["nodes"][0].update(cores=2), "cores", id="cluster.nodes"
+        ),
+        pytest.param(
+            lambda raw: raw["service"]["replicas"][0].update(weight=1), "weight",
+            id="service.replicas",
+        ),
+        pytest.param(
+            lambda raw: raw["aecs"]["replicas"][0].update(nodes="n1"), "nodes", id="aecs.replicas"
+        ),
+        pytest.param(
+            lambda raw: raw.update(policies={"slo": {**SLO, "thetha": 0.7}}), "thetha",
+            id="policies.slo",
+        ),
+        pytest.param(
+            lambda raw: raw.update(policies={"autoscale": {"cooldown": 5.0}}), "cooldown",
+            id="policies.autoscale",
+        ),
+        pytest.param(lambda raw: raw["workload"].update(timeout=1.0), "timeout", id="workload"),
+        pytest.param(
+            lambda raw: raw.update(interference=[{**WINDOW, "rate": 1.0}]), "rate",
+            id="interference",
+        ),
+    ],
+)
+def test_unknown_key_is_rejected_naming_it(mutate, key):
+    raw = {
+        "name": "demo",
+        "duration_s": 10.0,
+        "cluster": {"nodes": [{"id": "n1"}]},
+        "aecs": {"replicas": [{"id": "a0", "node": "n1"}]},
+        "service": {
+            "id": "svc",
+            "model": "mobilenet_v1_float",
+            "algorithm": "rr",
+            "replicas": [{"id": "r0", "node": "n1"}],
+        },
+        "workload": {"rate_per_s": 10.0},
+    }
+    # the same sections spelt right are accepted
+    from_dict({**raw, "policies": {"slo": SLO, "autoscale": {}}, "interference": [WINDOW]})
+    mutate(raw)
+    with pytest.raises(ConfigInvalid, match=f"unknown key '{key}'"):
         from_dict(raw)
 
 
@@ -301,15 +365,86 @@ def test_single_replica_far_below_capacity_meets_slo(model):
 def test_open_loop_send_times_match_generated_arrivals():
     config = small_scenario()
     report = run_scenario(config)
-    spec = WorkloadSpec(
-        service_id=config.service_id,
-        rate_per_s=config.workload.rate_per_s,
-        duration_s=config.duration_s,
-        rng_seed=config.seed,
-        payload_bytes=config.workload.payload_bytes,
-        timeout_s=config.workload.timeout_s,
-    )
-    assert [r.send_ts for r in report.records] == generate_arrivals(spec)
+    assert [r.send_ts for r in report.records] == generate_arrivals(config)
+
+
+def test_completion_rule_times_a_request_out_at_its_deadline():
+    config = small_scenario()
+    runner = VirtualRunner(config)
+    endpoint = Endpoint("r0", replica=None)
+    runner.vs.add_endpoint(endpoint)
+    deadline = 1.0 + config.workload.timeout_s
+    for index, now in enumerate([deadline - 1e-9, deadline, deadline + 3.0]):
+        runner.vs.dispatch(endpoint)
+        runner._complete(endpoint, index, 1.0, now)
+    before, at, after = runner.recorder.records()
+    assert (before.status, before.complete_ts) == (STATUS_OK, deadline - 1e-9)
+    for record in (at, after):
+        assert (record.status, record.complete_ts) == (STATUS_TIMEOUT, deadline)
+        assert record.latency == config.workload.timeout_s
+    assert endpoint.active_connections == 0
+
+
+@pytest.mark.parametrize("runner_class", [VirtualRunner, RealRunner])
+def test_both_clocks_record_through_the_one_completion_rule(runner_class, monkeypatch):
+    completed = []
+    shared = ClusterRunner._complete
+
+    def noting(self, endpoint, index, send_ts, now):
+        completed.append(index)
+        shared(self, endpoint, index, send_ts, now)
+
+    monkeypatch.setattr(ClusterRunner, "_complete", noting)
+    report = runner_class(short_real_scenario()).run()
+    accepted = [r.index for r in report.records if r.status != STATUS_REJECTED]
+    assert accepted and sorted(completed) == sorted(accepted)
+
+
+class _ConflictsOnce(MemoryStore):
+    """An untrusted store whose first compare-and-swap write conflicts."""
+
+    def __init__(self):
+        super().__init__()
+        self.conflicts = 0
+
+    def put(self, name, data, expected_version):
+        if not self.conflicts:
+            self.conflicts += 1
+            raise VersionConflict("induced")
+        return super().put(name, data, expected_version)
+
+
+def test_virtual_keystore_retry_does_not_sleep_on_the_wall_clock(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    store = _ConflictsOnce()
+    report = run_scenario(small_scenario(duration=2.0), store=store)
+    assert store.conflicts == 1  # the service PKI was written on the retry
+    assert report.completed > 0
+    assert sleeps == []
+
+
+def test_only_the_clocks_and_the_real_runner_touch_the_wall_clock():
+    wall = {"sleep", "monotonic", "time"}
+    root = Path(enclaveserve.__file__).parent
+    allowed = {"clock.py", "harness/runner_real.py"}
+    users = {}
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "time"
+                and node.attr in wall
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "time"
+                and any(alias.name in wall for alias in node.names)
+            ):
+                users.setdefault(module, []).append(node.lineno)
+    assert "clock.py" in users  # the scan sees what it looks for
+    assert set(users) <= allowed, users
 
 
 def test_one_full_handshake_then_resumption_on_the_virtual_clock():
@@ -530,7 +665,7 @@ def test_autoscale_demo_stops_what_it_drains(algorithm):
     assert len(endpoints) == desired == 1
 
 
-MISTAKES = ("cores", "epc", "placement", "payload", "window", "autoscale", "slo")
+MISTAKES = ("key", "epc", "placement", "payload", "window", "autoscale", "slo")
 
 
 @st.composite
@@ -542,10 +677,7 @@ def raw_scenarios(draw):
     mistake = draw(st.sampled_from((None,) * 14 + MISTAKES))
     duration = draw(st.sampled_from([0.25, 0.5, 1.0]))
     node_ids = [f"n{i}" for i in range(draw(st.integers(1, 4)))]
-    nodes = [
-        {"id": n, "cores": draw(st.integers(1, 3)), "epc_mib": draw(st.sampled_from([8, 93]))}
-        for n in node_ids
-    ]
+    nodes = [{"id": n, "epc_mib": draw(st.sampled_from([8, 93]))} for n in node_ids]
     replicas = [
         {"id": f"r{i}", "node": draw(st.sampled_from(node_ids))}
         for i in range(draw(st.integers(1, 4)))
@@ -597,8 +729,10 @@ def raw_scenarios(draw):
              "rate_pages_per_s": 145000.0}
         ] if windows else [],
     }
-    if mistake == "cores":
-        nodes[0]["cores"] = 0
+    if mistake == "key":
+        # a key that no field takes, such as a misspelling or the retired `cores`
+        section = draw(st.sampled_from([raw, nodes[0], replicas[0], raw["workload"]]))
+        section[draw(st.sampled_from(["cores", "thetha", "timeout"]))] = 1
     elif mistake == "epc":
         nodes[-1]["epc_mib"] = 0
     elif mistake == "placement":
@@ -683,7 +817,7 @@ def scenario_yaml(tmp_path) -> Path:
         "name": "cli-demo",
         "seed": 2,
         "duration_s": 5.0,
-        "cluster": {"nodes": [{"id": "n1", "cores": 2}, {"id": "n2", "cores": 2}]},
+        "cluster": {"nodes": [{"id": "n1"}, {"id": "n2"}]},
         "aecs": {"replicas": [{"id": "a0", "node": "n2"}]},
         "service": {
             "id": "svc",

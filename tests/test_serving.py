@@ -50,7 +50,9 @@ def stack(substrate, tmp_path):
     aecs_enclave = nodes[0].launch_enclave(
         EnclaveSpec("aecs-0", AECS_MEASUREMENT, 16 * MIB, 8 * MIB, system_enclave=True)
     )
-    keystore = AecsReplica("a0", aecs_enclave, deployment, tmp_path / "a0.sealed", random.Random(9))
+    keystore = AecsReplica(
+        "a0", aecs_enclave, deployment, tmp_path / "a0.sealed", random.Random(9), nodes[0].clock
+    )
     keystore.bootstrap()
     client = keystore.client()
     client.create_service_pki("svc", MODEL_MEASUREMENT)

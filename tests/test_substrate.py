@@ -355,8 +355,6 @@ def test_concurrent_sampling_sees_consistent_snapshots(substrate):
 
 def test_node_spec_validation():
     with pytest.raises(ValueError):
-        make_node_spec(cpu_cores=0)
-    with pytest.raises(ValueError):
         make_node_spec(epc_usable_bytes=0)
     with pytest.raises(ValueError):
         NodeSpec("n", b"short", b"also-short")

@@ -24,7 +24,7 @@ def percentile(samples: Sequence[float], p: float) -> float:
     return ordered[rank - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     index: int
     send_ts: float

@@ -12,19 +12,32 @@ fired. A runner for one clock adds only its request path.
 The virtual runner's clock is an `EventLoop` that jumps from event to
 event: replica service completions are events on it too. A request has no
 timeout event: its completion, which every accepted request reaches,
-decides whether it came after its deadline. Runs are single-threaded and
-every random draw comes from streams derived from the scenario seed, so a
-(scenario, seed) pair replays to the byte.
+decides whether it came after its deadline. The schedule is
+single-threaded and every random draw comes from streams derived from the
+scenario seed, so a (scenario, seed) pair replays to the byte.
 
 Each request is one L4 connection: the frontend picks a backend, the
 client handshakes against the service certificate (a full handshake on
 first contact, then resumed with the ticket it got, at any replica), and
 encrypted records carry the payload both ways. The frontend only moves ciphertext; session
 keys live at the client and inside the replica.
+
+On the virtual clock nothing in the schedule reads a crypto result, so a
+request's crypto runs after it completes, as a job in a batch of
+`CRYPTO_BATCH`: some batches in the runner's process between events, some
+in a forked helper process beside the schedule, so both cores work. Each
+job carries its own session seed, drawn when the request was sent, and
+the runner adds up the handshake counts and orders captured frames by
+request index, so no output depends on how the batches were split.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
+import random
+import signal
 import tempfile
 import threading
 from collections import deque
@@ -103,6 +116,7 @@ class ClusterRunner:
         self.traffic_capture: list[bytes] = []
         self._capture = self.traffic_capture if config.capture_traffic else None
         self.crypto_rng = crypto.derived_rng(config.seed, "session-crypto")
+        self._rng_lock = threading.Lock()
         self.interval = config.slo.sample_interval_s if config.slo else SloSettings.sample_interval_s
         self._telemetry: dict[str, NodeTelemetry] = {}
         self.telemetry_gaps = 0
@@ -314,6 +328,15 @@ class ClusterRunner:
             )
         self.recorder.record(record)
 
+    def session_seed(self) -> int:
+        """A fresh seed from the run's crypto stream. Every session's
+        randomness, on either clock, is `random.Random(session_seed())`."""
+        with self._rng_lock:
+            return self.crypto_rng.getrandbits(64)
+
+    def session_rng(self) -> random.Random:
+        return random.Random(self.session_seed())
+
     def _count_handshake(self, client_session: Session) -> None:
         with self._count_lock:
             if client_session.resumed:
@@ -347,6 +370,14 @@ class ClusterRunner:
         )
 
 
+# completed virtual requests whose crypto runs together, in one process
+CRYPTO_BATCH = 256
+# the most read from a helper's pipe at once, below glibc's 128 KiB mmap
+# threshold: freeing a larger, mmap-backed read buffer raises that threshold,
+# and the heap then holds on to more memory
+_PIPE_CHUNK = 64 * 1024
+
+
 @dataclass(slots=True)
 class _Request:
     """One virtual request, held by its server's queue or completion event
@@ -355,12 +386,64 @@ class _Request:
     index: int
     send_ts: float
     endpoint: Endpoint
-    client_session: Session
-    server_session: Session
-    # RESPONSE_HEADER.size bytes of headroom, then the payload the server opened
-    buffer: bytearray
+    seed: int  # of its session's randomness, drawn at send
     token: int = 0
     service_time: float = 0.0
+
+
+class _Helper:
+    """A forked process running one batch of crypto jobs. It writes the
+    pickled result of `run_batch(jobs)` to a pipe and ends with `os._exit`,
+    with status 1 if the batch raised."""
+
+    def __init__(self, run_batch: Callable[[list[tuple]], tuple], jobs: list[tuple]) -> None:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                gc.disable()  # a collection would write to, and so copy, every shared page
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(run_batch(jobs)))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pid = pid
+        self.fd = read_fd
+        self.jobs = jobs
+        self._chunks: list[bytes] = []
+        self._ok = False
+
+    def ended(self, wait: bool) -> bool:
+        """Read what the helper has written, all of it if `wait`; True once
+        it has closed the pipe, and it is then reaped."""
+        os.set_blocking(self.fd, wait)
+        try:
+            while chunk := os.read(self.fd, _PIPE_CHUNK):
+                self._chunks.append(chunk)
+        except BlockingIOError:
+            return False
+        os.close(self.fd)
+        _, status = os.waitpid(self.pid, 0)
+        self._ok = os.waitstatus_to_exitcode(status) == 0
+        return True
+
+    def result(self) -> tuple | None:
+        """The ended helper's result, or None if its batch failed."""
+        return pickle.loads(b"".join(self._chunks)) if self._ok else None
+
+    def kill(self) -> None:
+        """End and reap a helper whose result nobody will read."""
+        os.close(self.fd)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
 
 
 class _ReplicaServer:
@@ -402,11 +485,13 @@ class VirtualRunner(ClusterRunner):
     """The shared core driven by one event loop, with requests served in
     process.
 
-    Records are sealed into one runner-owned wire buffer and opened into
-    request buffers that a free list recycles, so a run reuses a few
-    payload-sized buffers instead of allocating and freeing several per
-    request. A request is recorded when its server completes it, as timed
-    out if that is at or after its deadline.
+    A request is recorded when its server completes it, as timed out if
+    that is at or after its deadline, and then becomes a crypto job
+    `(index, send_ts, replica, seed, service_time)`. Every CRYPTO_BATCH
+    jobs, a forked helper runs the batch if the last helper has ended and
+    the ticket cache holds the first ticket (so a run does exactly one full
+    handshake); otherwise the batch runs here. Each process seals into one
+    wire buffer and opens into one plaintext buffer.
     """
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
@@ -414,62 +499,129 @@ class VirtualRunner(ClusterRunner):
         super().__init__(config, self.loop, store)
         self.jitter_rng = crypto.derived_rng(config.seed, "service-jitter")
         self._servers: dict[str, _ReplicaServer] = {}
-        self._buffer_size = RESPONSE_HEADER.size + config.workload.payload_bytes
-        self._wire = bytearray(self._buffer_size + RECORD_OVERHEAD)  # the largest record
-        self._free_buffers: list[bytearray] = []
+        self._plain = bytearray(RESPONSE_HEADER.size + config.workload.payload_bytes)
+        self._wire = bytearray(len(self._plain) + RECORD_OVERHEAD)  # the largest record
+        self._jobs: list[tuple] = []
+        self._helper: _Helper | None = None
+        self._frames: list[tuple[int, list[bytes]]] = []
 
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
         replica = super()._make_replica(replica_id, node_id)
         self._servers[replica_id] = _ReplicaServer(self, replica)
         return replica
 
+    def run(self) -> RunReport:
+        try:
+            return super().run()
+        finally:
+            if self._helper is not None:  # the run raised
+                self._helper.kill()
+                self._helper = None
+
     # -- request path ------------------------------------------------------------------
 
     def _send(self, index: int) -> None:
         now = self.loop.now()
         endpoint = self._pick(index, now)
-        if endpoint is None:
-            return
-        client_session, server_session = handshake_in_process(
-            self.expected_cert,
-            endpoint.replica.pki,
-            self.crypto_rng,
-            self.crypto_rng,
-            now=now,
-            tickets=self.tickets,
-            capture=self._capture,
-        )
-        self._count_handshake(client_session)
-        payload = request_payload(self.config, index)
-        wire_record = seal_record(client_session, payload, out=self._wire)
-        if self._capture is not None:
-            self._capture.append(bytes(wire_record))
-        buffer = self._free_buffers.pop() if self._free_buffers else bytearray(self._buffer_size)
-        open_record(server_session, wire_record, out=memoryview(buffer)[RESPONSE_HEADER.size :])
-        req = _Request(
-            index=index,
-            send_ts=now,
-            endpoint=endpoint,
-            client_session=client_session,
-            server_session=server_session,
-            buffer=buffer,
-        )
-        self._servers[endpoint.endpoint_id].submit(req)
+        if endpoint is not None:
+            req = _Request(index, now, endpoint, self.session_seed())
+            self._servers[endpoint.endpoint_id].submit(req)
 
     def complete_request(self, req: _Request) -> None:
-        buffer = req.buffer
-        # the response, service_time ‖ payload, is built in place
-        RESPONSE_HEADER.pack_into(buffer, 0, req.service_time)
-        response = seal_record(req.server_session, buffer, out=self._wire)
-        if self._capture is not None:
-            self._capture.append(bytes(response))
-        open_record(req.client_session, response, out=buffer)
-        self._free_buffers.append(buffer)
+        self._jobs.append(
+            (req.index, req.send_ts, req.endpoint.replica, req.seed, req.service_time)
+        )
+        if len(self._jobs) == CRYPTO_BATCH:
+            self._dispatch(self._jobs)
+            self._jobs = []
         self._complete(req.endpoint, req.index, req.send_ts, self.loop.now())
 
+    def _dispatch(self, jobs: list[tuple]) -> None:
+        if self._helper is not None and self._helper.ended(wait=False):
+            self._collect(self._helper)
+        # a forked child inherits only this thread, not locks other threads hold
+        if (
+            self._helper is None
+            and hasattr(os, "fork")
+            and threading.active_count() == 1
+            and self.tickets.lookup(self.expected_cert) is not None
+        ):
+            try:
+                self._helper = _Helper(self._crypto, jobs)
+                return
+            except OSError:
+                pass  # no process to spare: run the batch here
+        self._add(self._crypto(jobs))
+
+    def _collect(self, helper: _Helper) -> None:
+        """Add the ended helper's result. If its batch failed, run the batch
+        here, which raises what the helper met."""
+        self._helper = None
+        result = helper.result()
+        self._add(result if result is not None else self._crypto(helper.jobs))
+
+    def _add(self, result: tuple[int, int, list[tuple[int, list[bytes]]]]) -> None:
+        full, resumed, frames = result
+        self.handshakes_full += full
+        self.handshakes_resumed += resumed
+        self._frames += frames
+
+    def _crypto(self, jobs: list[tuple]) -> tuple[int, int, list[tuple[int, list[bytes]]]]:
+        """Run each job's handshake and both its records, as its client and
+        replica would have. Returns the full and resumed handshake counts
+        and, with `capture_traffic`, the five frames of each job by index."""
+        full = resumed = 0
+        frames: list[tuple[int, list[bytes]]] = []
+        capture: list[bytes] | None = None
+        # views of exactly each record's and plaintext's length, so the
+        # record layer makes none per call
+        plain, response_wire = memoryview(self._plain), memoryview(self._wire)
+        body = plain[RESPONSE_HEADER.size :]
+        request_wire = response_wire[: len(body) + RECORD_OVERHEAD]
+        for index, send_ts, replica, seed, service_time in jobs:
+            if self._capture is not None:
+                capture = []
+                frames.append((index, capture))
+            rng = random.Random(seed)
+            client_session, server_session = handshake_in_process(
+                self.expected_cert,
+                replica.pki,
+                rng,
+                rng,
+                now=send_ts,
+                tickets=self.tickets,
+                capture=capture,
+            )
+            if client_session.resumed:
+                resumed += 1
+            else:
+                full += 1
+            payload = request_payload(self.config, index)
+            record = seal_record(client_session, payload, out=request_wire)
+            if capture is not None:
+                capture.append(bytes(record))
+            open_record(server_session, record, out=body)
+            # the response, service_time ‖ payload, is built in place
+            RESPONSE_HEADER.pack_into(plain, 0, service_time)
+            record = seal_record(server_session, plain, out=response_wire)
+            if capture is not None:
+                capture.append(bytes(record))
+            open_record(client_session, record, out=plain)
+        return full, resumed, frames
+
     def _drain(self) -> None:
-        # every request has completed: hand the buffers back
-        self._free_buffers.clear()
+        # every request has completed: run the last jobs, then take the helper's
+        self._add(self._crypto(self._jobs))
+        self._jobs = []
+        if self._helper is not None:
+            self._helper.ended(wait=True)
+            self._collect(self._helper)
+        if self._capture is not None:
+            for _, frames in sorted(self._frames):
+                self._capture += frames
+        self._frames = []
+        # hand the buffers back
+        self._plain.clear()
         self._wire.clear()
 
 

@@ -140,17 +140,12 @@ class RealRunner(ClusterRunner):
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
         super().__init__(config, RealClock(), store)
-        self._rng_lock = threading.Lock()
         self.listeners: dict[str, _ReplicaListener] = {}
         self._workers: list[threading.Thread] = []
 
-    def server_rng(self) -> random.Random:
-        with self._rng_lock:
-            return random.Random(self.crypto_rng.getrandbits(64))
-
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
         replica = super()._make_replica(replica_id, node_id)
-        self.listeners[replica_id] = _ReplicaListener(replica, self.clock, self.server_rng)
+        self.listeners[replica_id] = _ReplicaListener(replica, self.clock, self.session_rng)
         return replica
 
     def _retire_replica(self, replica: ModelServerReplica) -> None:
@@ -202,7 +197,7 @@ class RealRunner(ClusterRunner):
                 session = client_handshake(
                     transport,
                     self.expected_cert,
-                    self.server_rng(),
+                    self.session_rng(),
                     now=self.clock.now(),
                     tickets=self.tickets,
                     timeout=left(),

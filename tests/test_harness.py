@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import gc
+import os
 import socket
 import threading
 import time
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import enclaveserve
 from enclaveserve.aecs import MemoryStore, VersionConflict
 from enclaveserve.channel.handshake import server_handshake
+from enclaveserve.channel.record import Session
 from enclaveserve.channel.transport import MAX_FRAME
 from enclaveserve.cli import main as cli_main
 from enclaveserve.control import profile_boundary
@@ -40,7 +42,7 @@ from enclaveserve.harness.report import (
 )
 from enclaveserve.harness import runner as runner_module
 from enclaveserve.harness import runner_real
-from enclaveserve.harness.runner import ClusterRunner, VirtualRunner, _Request
+from enclaveserve.harness.runner import CRYPTO_BATCH, ClusterRunner, VirtualRunner, _Request
 from enclaveserve.harness.runner_real import RealRunner
 from enclaveserve.harness.scenario import (
     PROFILED_BOUNDARIES,
@@ -472,18 +474,19 @@ def test_virtual_capture_holds_byte_copies_and_replays_identically():
 
 
 def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
+    # a completed request becomes a crypto job that holds no payload, buffer
+    # or session, and a batch's sessions die with the batch
     config = dataclasses.replace(
         small_scenario(duration=6.0),
-        workload=WorkloadSettings(rate_per_s=60.0, payload_bytes=224 * 224 * 3),
+        workload=WorkloadSettings(rate_per_s=200.0, payload_bytes=224 * 224 * 3),
     )
     runner = VirtualRunner(config)
     runner._build_cluster(tmp_path)
     runner._schedule()
-    flight = {"now": 0, "peak": 0, "free_peak": 0}
+    flight = {"now": 0, "jobs_peak": 0}
     for server in runner._servers.values():
         def submit(req, submit=server.submit):
             flight["now"] += 1
-            flight["peak"] = max(flight["peak"], flight["now"])
             submit(req)
 
         server.submit = submit
@@ -494,22 +497,103 @@ def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
         complete(req)
         completed.add(req.index)
         flight["now"] -= 1
-        flight["free_peak"] = max(flight["free_peak"], len(runner._free_buffers))
+        flight["jobs_peak"] = max(flight["jobs_peak"], len(runner._jobs))
 
     runner.complete_request = complete_request
     runner.loop.run(until=3.0)
 
-    # no completed request is alive, so neither the loop heap nor anything
-    # else holds its buffer or sessions
     alive = [obj for obj in gc.get_objects() if isinstance(obj, _Request)]
-    assert len(completed) > 100 and 0 < len(alive) == flight["now"]
+    assert len(completed) > 2 * CRYPTO_BATCH and 0 < len(alive) == flight["now"]
     assert not any(req.index in completed for req in alive)
-    assert 0 < flight["free_peak"] <= flight["peak"]
-    assert len(runner._free_buffers) + flight["now"] <= flight["peak"]
+    assert not any(isinstance(obj, Session) for obj in gc.get_objects())
+    assert len(runner._jobs) == len(completed) % CRYPTO_BATCH
+    assert flight["jobs_peak"] == CRYPTO_BATCH - 1
 
     runner.loop.run()
-    assert flight["now"] == 0 and flight["free_peak"] <= flight["peak"]
+    runner._drain()
+    assert flight["now"] == 0 and not runner._jobs and runner._helper is None
+    assert not any(isinstance(obj, Session) for obj in gc.get_objects())
+    assert runner.handshakes_full + runner.handshakes_resumed == runner.recorder.sent
     assert len(runner.recorder.records()) == runner.recorder.sent
+
+
+def _batched_scenario(**changes):
+    # sgx_aware under paging: 1600 requests, so several crypto batches
+    config = small_scenario(algorithm="sgx_aware", interference="high", rate=200.0)
+    return dataclasses.replace(config, **changes)
+
+
+def test_crypto_batches_give_the_same_outputs_in_either_process(monkeypatch, tmp_path):
+    config = _batched_scenario(capture_traffic=True)
+    forks: list[int] = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    outputs = []
+    for every_batch_here in (True, False):
+        with monkeypatch.context() as patch:
+            if every_batch_here:
+                patch.delattr(os, "fork")
+            else:
+                patch.setattr(os, "fork", counting_fork)
+            runner = VirtualRunner(config)
+            report = runner.run()
+        paths = emit_report(report, tmp_path / str(every_batch_here))
+        outputs.append((
+            {name: path.read_bytes() for name, path in paths.items()},
+            runner.traffic_capture,
+            runner.handshakes_full,
+            runner.handshakes_resumed,
+        ))
+    assert report.sent - report.rejected > 4 * CRYPTO_BATCH
+    assert len(forks) >= 2  # helpers ran some batches
+    assert outputs[0] == outputs[1]
+    assert outputs[1][2] == 1 and outputs[1][3] == report.sent - report.rejected - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every helper was reaped
+
+
+class _Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fails_in", ["helper", "parent"])
+def test_failed_crypto_job_fails_the_run_and_leaves_no_helper(monkeypatch, tmp_path, fails_in):
+    config = _batched_scenario()
+    runner = VirtualRunner(config)
+    runner.run()
+    # completion order: the second batch is the first a helper runs
+    order = [record.index for record in runner.recorder._records]
+    parent = os.getpid()
+    marker = tmp_path / "helper-met-the-failure"
+    payload = runner_module.request_payload
+
+    def failing_payload(config, index):
+        in_helper = os.getpid() != parent
+        if fails_in == "helper" and index == order[CRYPTO_BATCH + 44]:
+            if in_helper:
+                marker.touch()
+            raise _Injected(index)
+        if fails_in == "parent":
+            if in_helper:
+                time.sleep(60)  # the helper is still busy when the run fails
+            elif index == order[-1]:
+                raise _Injected(index)
+        return payload(config, index)
+
+    monkeypatch.setattr(runner_module, "request_payload", failing_payload)
+    started = time.monotonic()
+    with pytest.raises(_Injected):
+        VirtualRunner(config).run()
+    assert time.monotonic() - started < 30
+    assert marker.exists() == (fails_in == "helper")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_virtual_request_that_ends_after_its_timeout_is_recorded_timed_out(monkeypatch):

@@ -10,11 +10,9 @@ which is treated as tampering.
 
 `seal_record` and `open_record` return bytes, or, given a writable buffer
 `out`, write the record (or the plaintext) to the start of `out` and
-return a memoryview of those bytes: `out` itself when it is a memoryview
-of exactly that length, which spares making a view per call. The caller
-owns `out`: the view is valid until the caller writes to `out` again, so
-anything that must outlive that (a traffic capture, say) takes a `bytes`
-copy.
+return a memoryview of those bytes. The caller owns `out`: the view is
+valid until the caller writes to `out` again, so anything that must
+outlive that (a traffic capture, say) takes a `bytes` copy.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ _NONCE = struct.Struct(">4xQ")
 _AAD = struct.Struct(">6sQ")
 # a sealed record is its plaintext plus this many bytes
 RECORD_OVERHEAD = _HEADER.size + crypto.TAG_LEN
-_BODY = slice(_HEADER.size, None)
 
 
 @dataclass(slots=True)
@@ -56,8 +53,6 @@ def _aad(session: Session, seq: int) -> bytes:
 
 
 def _prefix(out, size: int) -> memoryview:
-    if type(out) is memoryview and len(out) == size:
-        return out
     if len(out) < size:
         raise ValueError(f"out holds {len(out)} bytes, {size} needed")
     return memoryview(out)[:size]
@@ -73,23 +68,21 @@ def seal_record(session: Session, plaintext, out=None):
     else:
         record = _prefix(out, len(plaintext) + RECORD_OVERHEAD)
         _HEADER.pack_into(record, 0, _MAGIC, seq)
-        aead.encrypt_into(_NONCE.pack(seq), plaintext, _aad(session, seq), record[_BODY])
+        aead.encrypt_into(_NONCE.pack(seq), plaintext, _aad(session, seq), record[_HEADER.size :])
     session.send_seq = seq + 1
     return record
 
 
 def open_record(session: Session, record, out=None):
-    if len(record) < RECORD_OVERHEAD:
+    if len(record) < RECORD_OVERHEAD or record[: len(_MAGIC)] != _MAGIC:
         raise RecordTampered("malformed record")
-    magic, seq = _HEADER.unpack_from(record)
-    if magic != _MAGIC:
-        raise RecordTampered("malformed record")
+    _, seq = _HEADER.unpack_from(record)
     if seq < session.recv_seq:
         raise ReplayDetected(f"record seq {seq} already consumed")
     if seq > session.recv_seq:
         raise RecordTampered(f"sequence gap: expected {session.recv_seq}, got {seq}")
     aead = AESGCM(session.recv_key)
-    nonce, aad, body = _NONCE.pack(seq), _aad(session, seq), record[_BODY]
+    nonce, aad, body = _NONCE.pack(seq), _aad(session, seq), record[_HEADER.size :]
     plaintext = None if out is None else _prefix(out, len(record) - RECORD_OVERHEAD)
     try:
         if plaintext is None:

@@ -10,6 +10,7 @@ suite asserts after every test that none occurred.
 from __future__ import annotations
 
 import threading
+from typing import Iterable
 
 ALLOWED_PURPOSES = frozenset(
     {
@@ -34,9 +35,11 @@ def reset_taint() -> None:
         _events.clear()
 
 
-def _record(purpose: str) -> None:
+def record(purposes: Iterable[str]) -> None:
+    """Record taint events; also how a forked helper's events, sent back
+    with its result, reach the process that forked it."""
     with _lock:
-        _events.append(purpose)
+        _events.extend(purposes)
 
 
 class ConfinedSecret:
@@ -49,7 +52,7 @@ class ConfinedSecret:
 
     def reveal(self, purpose: str) -> bytes:
         if purpose not in ALLOWED_PURPOSES:
-            _record(purpose)
+            record([purpose])
         return self._raw
 
     def __eq__(self, other: object) -> bool:

@@ -28,7 +28,10 @@ request's crypto runs after it completes, as a job in a batch of
 in a forked helper process beside the schedule, so both cores work. Each
 job carries its own session seed, drawn when the request was sent, and
 the runner adds up the handshake counts and orders captured frames by
-request index, so no output depends on how the batches were split.
+request index, so no output depends on how the batches were split. A
+helper sends back the `confine` taint events its batch recorded with its
+result, and they are recorded in the runner's process as if the batch had
+run there.
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from .. import crypto
+from .. import confine, crypto
 from ..aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
 from ..aecs.store import MemoryStore, UntrustedStore
 from ..channel.handshake import TicketCache, handshake_in_process
-from ..channel.record import RECORD_OVERHEAD, Session, open_record, seal_record
+from ..channel.record import RECORD_OVERHEAD, open_record, seal_record
 from ..clock import EventLoop
 from ..control.autoscale import Autoscaler
 from ..control.errors import NodeUnreachable
@@ -124,7 +127,6 @@ class ClusterRunner:
         self.tickets = TicketCache()
         self.handshakes_full = 0
         self.handshakes_resumed = 0
-        self._count_lock = threading.Lock()
         frontend_algorithm = "sed" if config.algorithm == "sgx_aware" else config.algorithm
         self.vs = VirtualService(config.service_id, frontend_algorithm)
         self.controller: SloController | None = None
@@ -337,13 +339,6 @@ class ClusterRunner:
     def session_rng(self) -> random.Random:
         return random.Random(self.session_seed())
 
-    def _count_handshake(self, client_session: Session) -> None:
-        with self._count_lock:
-            if client_session.resumed:
-                self.handshakes_resumed += 1
-            else:
-                self.handshakes_full += 1
-
     # -- entry point -------------------------------------------------------------------
 
     def run(self) -> RunReport:
@@ -393,8 +388,9 @@ class _Request:
 
 class _Helper:
     """A forked process running one batch of crypto jobs. It writes the
-    pickled result of `run_batch(jobs)` to a pipe and ends with `os._exit`,
-    with status 1 if the batch raised."""
+    pickled result of `run_batch(jobs)`, with the taint events the batch
+    recorded, to a pipe and ends with `os._exit`, with status 1 if the
+    batch raised."""
 
     def __init__(self, run_batch: Callable[[list[tuple]], tuple], jobs: list[tuple]) -> None:
         read_fd, write_fd = os.pipe()
@@ -409,8 +405,10 @@ class _Helper:
             try:
                 os.close(read_fd)
                 gc.disable()  # a collection would write to, and so copy, every shared page
+                confine.reset_taint()  # the runner's own events stay with the runner
+                result = run_batch(jobs)
                 with open(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(run_batch(jobs)))
+                    pipe.write(pickle.dumps((result, confine.taint_events())))
                 status = 0
             finally:
                 os._exit(status)
@@ -436,11 +434,17 @@ class _Helper:
         return True
 
     def result(self) -> tuple | None:
-        """The ended helper's result, or None if its batch failed."""
-        return pickle.loads(b"".join(self._chunks)) if self._ok else None
+        """The ended helper's result, or None if its batch failed. The taint
+        events it recorded are recorded here, as if the batch ran here."""
+        if not self._ok:
+            return None
+        result, taints = pickle.loads(b"".join(self._chunks))
+        confine.record(taints)
+        return result
 
     def kill(self) -> None:
-        """End and reap a helper whose result nobody will read."""
+        """End and reap a helper whose result nobody will read, as the run
+        has already raised."""
         os.close(self.fd)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
@@ -573,11 +577,8 @@ class VirtualRunner(ClusterRunner):
         full = resumed = 0
         frames: list[tuple[int, list[bytes]]] = []
         capture: list[bytes] | None = None
-        # views of exactly each record's and plaintext's length, so the
-        # record layer makes none per call
-        plain, response_wire = memoryview(self._plain), memoryview(self._wire)
-        body = plain[RESPONSE_HEADER.size :]
-        request_wire = response_wire[: len(body) + RECORD_OVERHEAD]
+        plain, wire = self._plain, self._wire
+        body = memoryview(plain)[RESPONSE_HEADER.size :]
         for index, send_ts, replica, seed, service_time in jobs:
             if self._capture is not None:
                 capture = []
@@ -597,13 +598,13 @@ class VirtualRunner(ClusterRunner):
             else:
                 full += 1
             payload = request_payload(self.config, index)
-            record = seal_record(client_session, payload, out=request_wire)
+            record = seal_record(client_session, payload, out=wire)
             if capture is not None:
                 capture.append(bytes(record))
             open_record(server_session, record, out=body)
             # the response, service_time ‖ payload, is built in place
             RESPONSE_HEADER.pack_into(plain, 0, service_time)
-            record = seal_record(server_session, plain, out=response_wire)
+            record = seal_record(server_session, plain, out=wire)
             if capture is not None:
                 capture.append(bytes(record))
             open_record(client_session, record, out=plain)

@@ -40,7 +40,7 @@ from typing import Callable
 from ..aecs.store import UntrustedStore
 from ..channel.errors import SecureChannelError
 from ..channel.handshake import client_handshake, server_handshake
-from ..channel.record import open_record, seal_record
+from ..channel.record import Session, open_record, seal_record
 from ..channel.transport import SocketTransport, WiretapTransport
 from ..clock import Clock, RealClock
 from ..control.telemetry import collect  # noqa: F401
@@ -142,6 +142,7 @@ class RealRunner(ClusterRunner):
         super().__init__(config, RealClock(), store)
         self.listeners: dict[str, _ReplicaListener] = {}
         self._workers: list[threading.Thread] = []
+        self._count_lock = threading.Lock()
 
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
         replica = super()._make_replica(replica_id, node_id)
@@ -173,6 +174,13 @@ class RealRunner(ClusterRunner):
         deadline = time.monotonic() + self.config.workload.timeout_s + 1.0
         for worker in self._workers:
             worker.join(max(0.0, deadline - time.monotonic()))
+
+    def _count_handshake(self, client_session: Session) -> None:
+        with self._count_lock:
+            if client_session.resumed:
+                self.handshakes_resumed += 1
+            else:
+                self.handshakes_full += 1
 
     def _request(self, index: int, send_ts: float) -> None:
         endpoint = self._pick(index, send_ts)

@@ -20,6 +20,7 @@ from enclaveserve.channel.handshake import server_handshake
 from enclaveserve.channel.record import Session
 from enclaveserve.channel.transport import MAX_FRAME
 from enclaveserve.cli import main as cli_main
+from enclaveserve.confine import ConfinedSecret, reset_taint, taint_events
 from enclaveserve.control import profile_boundary
 from enclaveserve.harness import (
     STATUS_OK,
@@ -594,6 +595,30 @@ def test_failed_crypto_job_fails_the_run_and_leaves_no_helper(monkeypatch, tmp_p
     assert marker.exists() == (fails_in == "helper")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_taint_recorded_in_a_helper_reaches_the_runner(monkeypatch):
+    # confinement is checked in the runner's process, so a disallowed reveal
+    # inside a helper's batch has to be recorded there too
+    config = _batched_scenario()
+    parent = os.getpid()
+    secret = ConfinedSecret(b"enclave-only")
+    payload = runner_module.request_payload
+
+    def revealing_payload(config, index):
+        if os.getpid() != parent:
+            secret.reveal(f"debug-dump-{index}")
+        return payload(config, index)
+
+    monkeypatch.setattr(runner_module, "request_payload", revealing_payload)
+    report = VirtualRunner(config).run()
+    leaked = taint_events()
+    reset_taint()  # leave the autouse guard clean
+    indices = [int(purpose.removeprefix("debug-dump-")) for purpose in leaked]
+    # whole batches, each job once, and only requests that were served
+    assert len(indices) >= CRYPTO_BATCH and len(indices) % CRYPTO_BATCH == 0
+    assert len(set(indices)) == len(indices)
+    assert set(indices) <= {record.index for record in report.records if record.endpoint}
 
 
 def test_virtual_request_that_ends_after_its_timeout_is_recorded_timed_out(monkeypatch):

@@ -36,8 +36,8 @@ def reset_taint() -> None:
 
 
 def record(purposes: Iterable[str]) -> None:
-    """Record taint events; also how a forked helper's events, sent back
-    with its result, reach the process that forked it."""
+    """Record taint events; also how a forked worker's events, sent back
+    with each batch's result, reach the process that forked it."""
     with _lock:
         _events.extend(purposes)
 

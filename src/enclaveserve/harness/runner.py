@@ -24,14 +24,13 @@ keys live at the client and inside the replica.
 
 On the virtual clock nothing in the schedule reads a crypto result, so a
 request's crypto runs after it completes, as a job in a batch of
-`CRYPTO_BATCH`: some batches in the runner's process between events, some
-in a forked helper process beside the schedule, so both cores work. Each
-job carries its own session seed, drawn when the request was sent, and
-the runner adds up the handshake counts and orders captured frames by
-request index, so no output depends on how the batches were split. A
-helper sends back the `confine` taint events its batch recorded with its
-result, and they are recorded in the runner's process as if the batch had
-run there.
+`CRYPTO_BATCH`. A batch's index alone decides where it runs: in the
+runner's process between events, or in one worker process forked per run,
+so both cores work. Each job carries its own session seed, drawn when the
+request was sent, and the runner adds up the handshake counts and orders
+captured frames by request index, so no output depends on the split. The
+worker sends back the `confine` taint events each batch recorded, and they
+are recorded in the runner's process as if the batch had run there.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import os
 import pickle
 import random
 import signal
+import socket
 import tempfile
 import threading
 from collections import deque
@@ -52,7 +52,7 @@ from typing import Callable
 from .. import confine, crypto
 from ..aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
 from ..aecs.store import MemoryStore, UntrustedStore
-from ..channel.handshake import TicketCache, handshake_in_process
+from ..channel.handshake import Ticket, TicketCache, handshake_in_process
 from ..channel.record import RECORD_OVERHEAD, open_record, seal_record
 from ..clock import EventLoop
 from ..control.autoscale import Autoscaler
@@ -214,27 +214,6 @@ class ClusterRunner:
     def _retire_replica(self, replica: ModelServerReplica) -> None:
         stop_replica(replica)
 
-    # -- scripted interference -------------------------------------------------------
-
-    def _interference(self) -> list[tuple[float, Callable[[], object]]]:
-        """(when, action) for the start and the end of every interference
-        window, in script order."""
-        events: list[tuple[float, Callable[[], object]]] = []
-        for script_index, script in enumerate(self.config.interference):
-            node = self.substrate.node(script.node_id)
-            for window_index, (start, end) in enumerate(script.windows):
-                spec = EnclaveSpec(
-                    enclave_id=f"stress-{script.node_id}-{script_index}-{window_index}",
-                    measurement=INTERFERENCE_MEASUREMENT,
-                    requested_epc_bytes=script.epc_mib * MIB,
-                    # the batch task keeps refreshing its whole allocation
-                    working_set_bytes=script.epc_mib * MIB,
-                    page_access_rate=script.rate_pages_per_s,
-                )
-                events.append((start, partial(node.launch_enclave, spec)))
-                events.append((end, partial(_terminate, node, spec.enclave_id)))
-        return events
-
     # -- telemetry / control tick ------------------------------------------------------
 
     def _tick(self) -> None:
@@ -281,8 +260,20 @@ class ClusterRunner:
     # -- schedule --------------------------------------------------------------------
 
     def _schedule(self) -> None:
-        for when, action in self._interference():
-            self.clock.call_at(when, action)
+        # the start and the end of every interference window, in script order
+        for script_index, script in enumerate(self.config.interference):
+            node = self.substrate.node(script.node_id)
+            for window_index, (start, end) in enumerate(script.windows):
+                spec = EnclaveSpec(
+                    enclave_id=f"stress-{script.node_id}-{script_index}-{window_index}",
+                    measurement=INTERFERENCE_MEASUREMENT,
+                    requested_epc_bytes=script.epc_mib * MIB,
+                    # the batch task keeps refreshing its whole allocation
+                    working_set_bytes=script.epc_mib * MIB,
+                    page_access_rate=script.rate_pages_per_s,
+                )
+                self.clock.call_at(start, partial(node.launch_enclave, spec))
+                self.clock.call_at(end, partial(_terminate, node, spec.enclave_id))
         for k in range(int(self.config.duration_s / self.interval) + 1):
             self.clock.call_at(k * self.interval, self._tick)
         self.arrivals = self._arrivals()
@@ -367,10 +358,8 @@ class ClusterRunner:
 
 # completed virtual requests whose crypto runs together, in one process
 CRYPTO_BATCH = 256
-# the most read from a helper's pipe at once, below glibc's 128 KiB mmap
-# threshold: freeing a larger, mmap-backed read buffer raises that threshold,
-# and the heap then holds on to more memory
-_PIPE_CHUNK = 64 * 1024
+# a batch's full and resumed handshake counts, and its frames by request index
+_Result = tuple[int, int, list[tuple[int, list[bytes]]]]
 
 
 @dataclass(slots=True)
@@ -386,66 +375,55 @@ class _Request:
     service_time: float = 0.0
 
 
-class _Helper:
-    """A forked process running one batch of crypto jobs. It writes the
-    pickled result of `run_batch(jobs)`, with the taint events the batch
-    recorded, to a pipe and ends with `os._exit`, with status 1 if the
-    batch raised."""
+class _Worker:
+    """A process, forked once, that runs `run_batch(jobs, ticket)` for each
+    batch sent to it, in order, and answers each with `(ok, result, taint
+    events)`. `pending` holds the batches sent and not yet answered."""
 
-    def __init__(self, run_batch: Callable[[list[tuple]], tuple], jobs: list[tuple]) -> None:
-        read_fd, write_fd = os.pipe()
+    def __init__(self, run_batch: Callable[..., tuple]) -> None:
+        self._socket, theirs = socket.socketpair()
         try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            self.pid = os.fork()
+        except (AttributeError, OSError):  # no os.fork, or it failed
+            self._socket.close()
+            theirs.close()
             raise
-        if pid == 0:
-            status = 1
+        if self.pid == 0:
             try:
-                os.close(read_fd)
+                self._socket.close()
                 gc.disable()  # a collection would write to, and so copy, every shared page
-                confine.reset_taint()  # the runner's own events stay with the runner
-                result = run_batch(jobs)
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps((result, confine.taint_events())))
-                status = 0
+                jobs, results = theirs.makefile("rb"), theirs.makefile("wb")
+                while True:  # until the runner closes its end and pickle.load raises
+                    message = pickle.load(jobs)
+                    confine.reset_taint()  # the runner's own events stay with the runner
+                    try:
+                        answer = True, run_batch(*message), confine.taint_events()
+                    except Exception:
+                        answer = False, None, []
+                    pickle.dump(answer, results)
+                    results.flush()
             finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pid = pid
-        self.fd = read_fd
-        self.jobs = jobs
-        self._chunks: list[bytes] = []
-        self._ok = False
+                os._exit(0)
+        theirs.close()
+        self._results = self._socket.makefile("rb")
+        self.pending: deque[list[tuple]] = deque()
 
-    def ended(self, wait: bool) -> bool:
-        """Read what the helper has written, all of it if `wait`; True once
-        it has closed the pipe, and it is then reaped."""
-        os.set_blocking(self.fd, wait)
+    def send(self, jobs: list[tuple], ticket: Ticket | None) -> None:
+        """Hand a batch over; raises OSError if the worker has died."""
+        self.pending.append(jobs)
+        self._socket.sendall(pickle.dumps((jobs, ticket)))
+
+    def receive(self) -> tuple:
+        """Wait for the oldest pending batch's answer; not ok if it died."""
         try:
-            while chunk := os.read(self.fd, _PIPE_CHUNK):
-                self._chunks.append(chunk)
-        except BlockingIOError:
-            return False
-        os.close(self.fd)
-        _, status = os.waitpid(self.pid, 0)
-        self._ok = os.waitstatus_to_exitcode(status) == 0
-        return True
+            return pickle.load(self._results)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            return False, None, []
 
-    def result(self) -> tuple | None:
-        """The ended helper's result, or None if its batch failed. The taint
-        events it recorded are recorded here, as if the batch ran here."""
-        if not self._ok:
-            return None
-        result, taints = pickle.loads(b"".join(self._chunks))
-        confine.record(taints)
-        return result
-
-    def kill(self) -> None:
-        """End and reap a helper whose result nobody will read, as the run
-        has already raised."""
-        os.close(self.fd)
+    def end(self) -> None:
+        """Stop and reap the worker, whatever it is doing."""
+        self._results.close()
+        self._socket.close()
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
 
@@ -491,11 +469,11 @@ class VirtualRunner(ClusterRunner):
 
     A request is recorded when its server completes it, as timed out if
     that is at or after its deadline, and then becomes a crypto job
-    `(index, send_ts, replica, seed, service_time)`. Every CRYPTO_BATCH
-    jobs, a forked helper runs the batch if the last helper has ended and
-    the ticket cache holds the first ticket (so a run does exactly one full
-    handshake); otherwise the batch runs here. Each process seals into one
-    wire buffer and opens into one plaintext buffer.
+    `(index, send_ts, seed, service_time)`. Batch 0, with the run's one full
+    handshake, every even batch and the last partial one run here; odd ones
+    go to the run's `_Worker` with the ticket that handshake got. Every job
+    is served with the service PKI, which every replica holds. Each process
+    seals into one wire buffer and opens into one plaintext buffer.
     """
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
@@ -506,21 +484,36 @@ class VirtualRunner(ClusterRunner):
         self._plain = bytearray(RESPONSE_HEADER.size + config.workload.payload_bytes)
         self._wire = bytearray(len(self._plain) + RECORD_OVERHEAD)  # the largest record
         self._jobs: list[tuple] = []
-        self._helper: _Helper | None = None
+        self._batches = 0
+        self._worker: _Worker | None = None
         self._frames: list[tuple[int, list[bytes]]] = []
 
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
         replica = super()._make_replica(replica_id, node_id)
+        # a worker serves every job with the PKI it inherited
+        if replica.pki.certificate != self.expected_cert:
+            raise ScenarioFailed(f"replica {replica_id} holds another certificate")
+        self._pki = replica.pki
         self._servers[replica_id] = _ReplicaServer(self, replica)
         return replica
+
+    def _schedule(self) -> None:
+        super()._schedule()
+        # fork before the clock runs, if there can be an odd batch; a child
+        # inherits only this thread, not locks other threads hold
+        if len(self.arrivals) >= 2 * CRYPTO_BATCH and threading.active_count() == 1:
+            try:
+                self._worker = _Worker(self._crypto)
+            except (AttributeError, OSError):
+                pass  # no os.fork here, or no process to spare: every batch runs here
 
     def run(self) -> RunReport:
         try:
             return super().run()
         finally:
-            if self._helper is not None:  # the run raised
-                self._helper.kill()
-                self._helper = None
+            if self._worker is not None:  # the run raised
+                self._worker.end()
+                self._worker = None
 
     # -- request path ------------------------------------------------------------------
 
@@ -532,61 +525,65 @@ class VirtualRunner(ClusterRunner):
             self._servers[endpoint.endpoint_id].submit(req)
 
     def complete_request(self, req: _Request) -> None:
-        self._jobs.append(
-            (req.index, req.send_ts, req.endpoint.replica, req.seed, req.service_time)
-        )
+        self._jobs.append((req.index, req.send_ts, req.seed, req.service_time))
         if len(self._jobs) == CRYPTO_BATCH:
             self._dispatch(self._jobs)
             self._jobs = []
         self._complete(req.endpoint, req.index, req.send_ts, self.loop.now())
 
     def _dispatch(self, jobs: list[tuple]) -> None:
-        if self._helper is not None and self._helper.ended(wait=False):
-            self._collect(self._helper)
-        # a forked child inherits only this thread, not locks other threads hold
-        if (
-            self._helper is None
-            and hasattr(os, "fork")
-            and threading.active_count() == 1
-            and self.tickets.lookup(self.expected_cert) is not None
-        ):
-            try:
-                self._helper = _Helper(self._crypto, jobs)
-                return
-            except OSError:
-                pass  # no process to spare: run the batch here
-        self._add(self._crypto(jobs))
+        to_worker = self._batches % 2 == 1
+        self._batches += 1
+        if to_worker and self._worker is not None and len(self._worker.pending) == 2:
+            self._take()
+        if not to_worker or self._worker is None:
+            self._add(self._crypto(jobs))
+            return
+        try:
+            self._worker.send(jobs, self.tickets.lookup(self.expected_cert))
+        except OSError:
+            pass  # it died: the next _take finds it gone and runs the batch here
 
-    def _collect(self, helper: _Helper) -> None:
-        """Add the ended helper's result. If its batch failed, run the batch
-        here, which raises what the helper met."""
-        self._helper = None
-        result = helper.result()
-        self._add(result if result is not None else self._crypto(helper.jobs))
+    def _take(self) -> None:
+        """Add the worker's answer to its oldest batch; if that failed or the
+        worker is gone, end it and run its batches here, raising what it met."""
+        worker = self._worker
+        ok, result, taints = worker.receive()
+        if ok:
+            worker.pending.popleft()
+            confine.record(taints)
+            self._add(result)
+            return
+        self._worker = None
+        worker.end()
+        for jobs in worker.pending:
+            self._add(self._crypto(jobs))
 
-    def _add(self, result: tuple[int, int, list[tuple[int, list[bytes]]]]) -> None:
+    def _add(self, result: _Result) -> None:
         full, resumed, frames = result
         self.handshakes_full += full
         self.handshakes_resumed += resumed
         self._frames += frames
 
-    def _crypto(self, jobs: list[tuple]) -> tuple[int, int, list[tuple[int, list[bytes]]]]:
-        """Run each job's handshake and both its records, as its client and
-        replica would have. Returns the full and resumed handshake counts
-        and, with `capture_traffic`, the five frames of each job by index."""
+    def _crypto(self, jobs: list[tuple], ticket: Ticket | None = None) -> _Result:
+        """Run each job's handshake, resuming with `ticket` if given, and
+        both its records, as its client and replica would have; each job's
+        five frames are kept only with `capture_traffic`."""
+        if ticket is not None:
+            self.tickets.store(self.expected_cert, ticket)
         full = resumed = 0
         frames: list[tuple[int, list[bytes]]] = []
         capture: list[bytes] | None = None
         plain, wire = self._plain, self._wire
         body = memoryview(plain)[RESPONSE_HEADER.size :]
-        for index, send_ts, replica, seed, service_time in jobs:
+        for index, send_ts, seed, service_time in jobs:
             if self._capture is not None:
                 capture = []
                 frames.append((index, capture))
             rng = random.Random(seed)
             client_session, server_session = handshake_in_process(
                 self.expected_cert,
-                replica.pki,
+                self._pki,
                 rng,
                 rng,
                 now=send_ts,
@@ -611,12 +608,14 @@ class VirtualRunner(ClusterRunner):
         return full, resumed, frames
 
     def _drain(self) -> None:
-        # every request has completed: run the last jobs, then take the helper's
+        # every request has completed: run the last jobs, then take the worker's
         self._add(self._crypto(self._jobs))
         self._jobs = []
-        if self._helper is not None:
-            self._helper.ended(wait=True)
-            self._collect(self._helper)
+        while self._worker is not None and self._worker.pending:
+            self._take()
+        if self._worker is not None:
+            self._worker.end()
+            self._worker = None
         if self._capture is not None:
             for _, frames in sorted(self._frames):
                 self._capture += frames

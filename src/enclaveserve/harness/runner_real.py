@@ -168,6 +168,7 @@ class RealRunner(ClusterRunner):
     def _send(self, index: int) -> None:
         worker = threading.Thread(target=self._request, args=(index, self.clock.now()), daemon=True)
         worker.start()
+        self._workers = [t for t in self._workers if t.is_alive()]  # what _drain waits for
         self._workers.append(worker)
 
     def _drain(self) -> None:

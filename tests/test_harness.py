@@ -4,7 +4,10 @@ import ast
 import dataclasses
 import gc
 import os
+import random
+import signal
 import socket
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 import enclaveserve
 from enclaveserve.aecs import MemoryStore, VersionConflict
+from enclaveserve.channel.certs import generate_pki
 from enclaveserve.channel.handshake import server_handshake
 from enclaveserve.channel.record import Session
 from enclaveserve.channel.transport import MAX_FRAME
@@ -28,6 +32,7 @@ from enclaveserve.harness import (
     STATUS_TIMEOUT,
     ConfigInvalid,
     EmptySamples,
+    ScenarioFailed,
     build_lb_scenario,
     build_scaling_scenario,
     emit_report,
@@ -512,7 +517,7 @@ def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
 
     runner.loop.run()
     runner._drain()
-    assert flight["now"] == 0 and not runner._jobs and runner._helper is None
+    assert flight["now"] == 0 and not runner._jobs and runner._worker is None
     assert not any(isinstance(obj, Session) for obj in gc.get_objects())
     assert runner.handshakes_full + runner.handshakes_resumed == runner.recorder.sent
     assert len(runner.recorder.records()) == runner.recorder.sent
@@ -524,39 +529,76 @@ def _batched_scenario(**changes):
     return dataclasses.replace(config, **changes)
 
 
-def test_crypto_batches_give_the_same_outputs_in_either_process(monkeypatch, tmp_path):
-    config = _batched_scenario(capture_traffic=True)
-    forks: list[int] = []
-    fork = os.fork
+def _job_order(runner):
+    """Request indices in the order they became crypto jobs: batch k is
+    positions k * CRYPTO_BATCH onwards."""
+    return [record.index for record in runner.recorder._records if record.endpoint]
+
+
+def _run_crypto(monkeypatch, tmp_path, config, *, fork, in_worker=None):
+    """Run `config` with `os.fork` counted, or removed so that every batch
+    runs here; `in_worker(index)` is called for each job the worker runs.
+    Returns the run's outputs, its fork count and its runner."""
+    parent, payload, real_fork = os.getpid(), runner_module.request_payload, os.fork
+    forks = []
 
     def counting_fork():
-        pid = fork()
+        pid = real_fork()
         if pid:
             forks.append(pid)
         return pid
 
-    outputs = []
-    for every_batch_here in (True, False):
-        with monkeypatch.context() as patch:
-            if every_batch_here:
-                patch.delattr(os, "fork")
-            else:
-                patch.setattr(os, "fork", counting_fork)
-            runner = VirtualRunner(config)
-            report = runner.run()
-        paths = emit_report(report, tmp_path / str(every_batch_here))
-        outputs.append((
-            {name: path.read_bytes() for name, path in paths.items()},
-            runner.traffic_capture,
-            runner.handshakes_full,
-            runner.handshakes_resumed,
-        ))
-    assert report.sent - report.rejected > 4 * CRYPTO_BATCH
-    assert len(forks) >= 2  # helpers ran some batches
-    assert outputs[0] == outputs[1]
-    assert outputs[1][2] == 1 and outputs[1][3] == report.sent - report.rejected - 1
+    def watched_payload(config, index):
+        if in_worker is not None and os.getpid() != parent:
+            in_worker(index)
+        return payload(config, index)
+
+    with monkeypatch.context() as patch:
+        if fork:
+            patch.setattr(os, "fork", counting_fork)
+        else:
+            patch.delattr(os, "fork")
+        patch.setattr(runner_module, "request_payload", watched_payload)
+        runner = VirtualRunner(config)
+        report = runner.run()
+    paths = emit_report(report, Path(tempfile.mkdtemp(dir=tmp_path)))
+    outputs = (
+        {name: path.read_bytes() for name, path in paths.items()},
+        runner.traffic_capture,
+        runner.handshakes_full,
+        runner.handshakes_resumed,
+    )
     with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)  # every helper was reaped
+        os.waitpid(-1, os.WNOHANG)  # the worker was reaped
+    return outputs, len(forks), runner
+
+
+def test_crypto_batches_give_the_same_outputs_in_either_process(monkeypatch, tmp_path):
+    config = _batched_scenario(capture_traffic=True)
+    here, _, runner = _run_crypto(monkeypatch, tmp_path, config, fork=False)
+    served = runner.handshakes_full + runner.handshakes_resumed
+    assert served > 4 * CRYPTO_BATCH
+    assert here[2] == 1 and here[3] == served - 1
+    batches = []
+    for repeat in range(2):
+        log = tmp_path / f"worker-{repeat}.log"
+
+        def note(index, log=log):
+            with log.open("a") as file:
+                file.write(f"{index}\n")
+
+        outputs, forks, runner = _run_crypto(
+            monkeypatch, tmp_path, config, fork=True, in_worker=note
+        )
+        assert outputs == here
+        assert forks == 1
+        position = {index: k for k, index in enumerate(_job_order(runner))}
+        ran = [position[int(line)] for line in log.read_text().split()]
+        assert len(set(ran)) == len(ran)  # each job once
+        batches.append({k // CRYPTO_BATCH for k in ran})
+        assert len(ran) == CRYPTO_BATCH * len(batches[-1])  # whole batches
+    # the odd full batches, whatever the machine's speed
+    assert batches[0] == batches[1] == set(range(1, served // CRYPTO_BATCH, 2))
 
 
 class _Injected(Exception):
@@ -568,22 +610,22 @@ def test_failed_crypto_job_fails_the_run_and_leaves_no_helper(monkeypatch, tmp_p
     config = _batched_scenario()
     runner = VirtualRunner(config)
     runner.run()
-    # completion order: the second batch is the first a helper runs
-    order = [record.index for record in runner.recorder._records]
+    order = _job_order(runner)
     parent = os.getpid()
-    marker = tmp_path / "helper-met-the-failure"
+    marker = tmp_path / "worker-met-the-failure"
     payload = runner_module.request_payload
 
     def failing_payload(config, index):
-        in_helper = os.getpid() != parent
+        in_worker = os.getpid() != parent
+        # batch 1 is the worker's first; batch 2 runs here while it holds batch 1
         if fails_in == "helper" and index == order[CRYPTO_BATCH + 44]:
-            if in_helper:
+            if in_worker:
                 marker.touch()
             raise _Injected(index)
         if fails_in == "parent":
-            if in_helper:
-                time.sleep(60)  # the helper is still busy when the run fails
-            elif index == order[-1]:
+            if in_worker and index == order[CRYPTO_BATCH]:
+                time.sleep(60)  # the worker is still busy when the run fails
+            elif not in_worker and index == order[2 * CRYPTO_BATCH + 44]:
                 raise _Injected(index)
         return payload(config, index)
 
@@ -597,9 +639,56 @@ def test_failed_crypto_job_fails_the_run_and_leaves_no_helper(monkeypatch, tmp_p
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_killed_worker_leaves_its_batches_to_the_runner(monkeypatch, tmp_path):
+    config = _batched_scenario(capture_traffic=True)
+    here, _, runner = _run_crypto(monkeypatch, tmp_path, config, fork=False)
+    doomed = _job_order(runner)[CRYPTO_BATCH + 44]  # inside the worker's first batch
+    killed = tmp_path / "killed"
+
+    def die(index):
+        if index == doomed:
+            killed.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    outputs, forks, _ = _run_crypto(monkeypatch, tmp_path, config, fork=True, in_worker=die)
+    assert killed.exists() and forks == 1
+    assert outputs == here
+
+
+def test_worker_results_larger_than_the_socket_buffer_arrive_whole(monkeypatch, tmp_path):
+    # 16 KiB requests: one batch's captured frames are about 8 MiB, far
+    # beyond what a socket pair buffers (about 200 KiB on Linux), so the
+    # worker blocks writing until the runner reads
+    config = dataclasses.replace(
+        small_scenario(duration=4.0, rate=200.0),
+        capture_traffic=True,
+        workload=WorkloadSettings(rate_per_s=200.0, payload_bytes=16 * 1024),
+    )
+    here, _, _ = _run_crypto(monkeypatch, tmp_path, config, fork=False)
+    outputs, forks, runner = _run_crypto(monkeypatch, tmp_path, config, fork=True)
+    assert forks == 1 and len(_job_order(runner)) >= 3 * CRYPTO_BATCH
+    assert outputs == here
+
+
+def test_replica_with_another_certificate_fails_the_virtual_run(monkeypatch):
+    # every job is served with one PKI, so each replica must hold the
+    # certificate the client expects
+    start = runner_module.start_replica
+    impostor = generate_pki("impostor", random.Random(7))
+
+    def start_with_another_pki(**kwargs):
+        replica = start(**kwargs)
+        replica.pki = impostor
+        return replica
+
+    monkeypatch.setattr(runner_module, "start_replica", start_with_another_pki)
+    with pytest.raises(ScenarioFailed, match="another certificate"):
+        VirtualRunner(small_scenario(duration=1.0)).run()
+
+
 def test_taint_recorded_in_a_helper_reaches_the_runner(monkeypatch):
     # confinement is checked in the runner's process, so a disallowed reveal
-    # inside a helper's batch has to be recorded there too
+    # inside a worker's batch has to be recorded there too
     config = _batched_scenario()
     parent = os.getpid()
     secret = ConfinedSecret(b"enclave-only")
@@ -1281,4 +1370,28 @@ def test_real_run_leaves_no_thread_behind(monkeypatch):
     before = set(threading.enumerate())
     report = RealRunner(config).run()
     assert report.timed_out > 0
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_real_runner_keeps_only_request_threads_still_running():
+    config = dataclasses.replace(
+        small_scenario(duration=1.5, rate=40.0, seed=21),
+        workload=WorkloadSettings(rate_per_s=40.0, timeout_s=5.0),
+    )
+    runner = RealRunner(config)
+    report = runner.run()
+    assert report.sent > 40
+    assert len(runner._workers) < report.sent // 4
+    assert not any(thread.is_alive() for thread in runner._workers)
+
+
+def test_real_clock_serves_the_largest_payload_validate_accepts():
+    config = dataclasses.replace(
+        small_scenario(duration=2.0, rate=2.0, seed=21),
+        workload=WorkloadSettings(rate_per_s=2.0, payload_bytes=MAX_FRAME - 36, timeout_s=20.0),
+    )
+    before = set(threading.enumerate())
+    report = RealRunner(config).run()
+    assert report.sent > 0
+    assert [record.status for record in report.records] == [STATUS_OK] * report.sent
     assert [t for t in threading.enumerate() if t not in before] == []

@@ -25,13 +25,7 @@ from .handshake import (
     server_handshake,
 )
 from .record import Session, open_record, seal_record
-from .transport import (
-    FrameTransport,
-    PipeTransport,
-    SocketTransport,
-    WiretapTransport,
-    make_pipe,
-)
+from .transport import FrameTransport, SocketTransport, WiretapTransport
 
 __all__ = [
     "Certificate",
@@ -42,7 +36,6 @@ __all__ = [
     "FrameTransport",
     "HandshakeFailure",
     "HandshakeTimeout",
-    "PipeTransport",
     "RecordTampered",
     "ReplayDetected",
     "SecureChannelError",
@@ -58,7 +51,6 @@ __all__ = [
     "client_handshake",
     "generate_pki",
     "handshake_in_process",
-    "make_pipe",
     "open_record",
     "seal_record",
     "server_handshake",

@@ -42,9 +42,6 @@ class Certificate:
     def signed_body(self) -> bytes:
         return _signed_body(self.subject, self.public_key, self.not_before, self.not_after)
 
-    def verify_self_signature(self) -> bool:
-        return crypto.verify_signature(self.public_key, self.self_signature, self.signed_body())
-
     def encode(self) -> bytes:
         return self._encoding
 

@@ -1,13 +1,12 @@
-"""Framed byte transports: real sockets, in-process pipes, and wiretaps.
+"""Framed byte transports: stream sockets and wiretaps.
 
 Every message on the wire is one frame: a big-endian u32 length followed by
 that many payload bytes. Handshake messages, records, and keystore RPCs all
-ride on this framing, over sockets and the test transport alike.
+ride on this framing.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 from typing import Protocol
@@ -54,50 +53,19 @@ class SocketTransport:
             raise HandshakeTimeout("timed out waiting for frame") from exc
 
     def _recv_exact(self, n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
-            if not chunk:
+        # received in place: appending chunks would copy the frame per chunk
+        buf = bytearray(n)
+        view = memoryview(buf)
+        got = 0
+        while got < n:
+            count = self._sock.recv_into(view[got:])
+            if not count:
                 raise TransportClosed("peer closed connection")
-            buf += chunk
-        return buf
+            got += count
+        return bytes(buf)
 
     def close(self) -> None:
         self._sock.close()
-
-
-class PipeTransport:
-    """One end of an in-process duplex pipe; thread-safe and blocking."""
-
-    def __init__(self, inbox: "queue.Queue[bytes | None]", outbox: "queue.Queue[bytes | None]") -> None:
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = False
-
-    def send_frame(self, payload: bytes) -> None:
-        if self._closed:
-            raise TransportClosed("pipe closed")
-        self._outbox.put(bytes(payload))
-
-    def recv_frame(self, timeout: float | None = None) -> bytes:
-        try:
-            item = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise HandshakeTimeout("timed out waiting for frame") from None
-        if item is None:
-            raise TransportClosed("peer closed pipe")
-        return item
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(None)
-
-
-def make_pipe() -> tuple[PipeTransport, PipeTransport]:
-    a_to_b: "queue.Queue[bytes | None]" = queue.Queue()
-    b_to_a: "queue.Queue[bytes | None]" = queue.Queue()
-    return PipeTransport(b_to_a, a_to_b), PipeTransport(a_to_b, b_to_a)
 
 
 class WiretapTransport:

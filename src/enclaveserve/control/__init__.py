@@ -1,3 +1,4 @@
+from ..substrate.node import EnclaveObservation, EpcSample
 from .autoscale import Autoscaler, AutoscaleSettings, autoscale_step
 from .errors import (
     ControlError,
@@ -17,9 +18,6 @@ from .slo import (
 )
 from .telemetry import (
     EPC_CSV_HEADER,
-    EnclaveObservation,
-    EpcSample,
-    NodeTelemetry,
     SERVICE_CSV_HEADER,
     collect,
     epc_csv_row,
@@ -38,7 +36,6 @@ __all__ = [
     "EpcSample",
     "InsufficientSamples",
     "NodeObservation",
-    "NodeTelemetry",
     "NodeUnreachable",
     "PlacementFailure",
     "ReconcileAction",

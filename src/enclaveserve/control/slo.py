@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..serving.frontend import VirtualService
-from .telemetry import EpcSample
+from .telemetry import EpcSample, paging_throughput
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,13 @@ class NodeObservation:
         return all(system or eid == own_enclave_id for eid, system in self.enclaves)
 
 
-def observation_from_samples(samples: list[EpcSample]) -> NodeObservation:
-    """Build a cycle observation from the last two samples of a node."""
-    if len(samples) < 2:
+def observation_from_samples(previous: EpcSample | None, last: EpcSample) -> NodeObservation:
+    """Build a cycle observation from a node's last two successful samples;
+    with no earlier sample there is no throughput yet."""
+    if previous is None:
         return NodeObservation(throughput=None)
-    from .telemetry import paging_throughput
-
-    last = samples[-1]
     return NodeObservation(
-        throughput=paging_throughput(samples[-2:]),
+        throughput=paging_throughput((previous, last)),
         enclaves=tuple((e.enclave_id, e.system_flag) for e in last.enclaves),
     )
 

@@ -1,98 +1,27 @@
-"""EPC telemetry: per-node samples and windowed paging throughput.
+"""EPC telemetry: collecting node samples and the paging throughput
+between two of them.
 
-Samples carry node totals only. Swapped pages are deliberately not
-attributed to individual enclaves: co-resident enclaves share the counters
-exactly as the node's own accounting exposes them.
+A sample is the node's own snapshot, `Node.paging_state()`: node totals
+only, so co-resident enclaves share the swap counters exactly as the
+node's accounting exposes them. The cluster runner keeps each node's last
+successful sample, and a control cycle's throughput is the counter delta
+from it to the next, spanning any collection gap in between.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
-from ..substrate.node import Node
-from ..substrate.paging import PAGE_BYTES
+from ..substrate.node import EpcSample, Node
 from .errors import InsufficientSamples, NodeUnreachable
 
 
-@dataclass(frozen=True)
-class EnclaveObservation:
-    enclave_id: str
-    measurement_hex: str
-    resident_pages: int
-    system_flag: bool
-
-
-@dataclass(frozen=True)
-class EpcSample:
-    node_id: str
-    timestamp: float
-    pages_in_total: int
-    pages_out_total: int
-    enclaves: tuple[EnclaveObservation, ...]
-
-    def enclaves_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "id": e.enclave_id,
-                    "measurement": e.measurement_hex,
-                    "resident_pages": e.resident_pages,
-                    "system": e.system_flag,
-                }
-                for e in self.enclaves
-            ],
-            separators=(",", ":"),
-        )
-
-
 def collect(node: Node) -> EpcSample:
-    """One consistent snapshot of a node's EPC state, timestamped by the
-    node's clock."""
+    """The node's snapshot, or NodeUnreachable while it is cut off."""
     if node.unreachable:
         raise NodeUnreachable(node.node_id)
-    state = node.paging_state()
-    enclaves = tuple(
-        EnclaveObservation(
-            spec.enclave_id,
-            spec.measurement.hex(),
-            state.resident_bytes[spec.enclave_id] // PAGE_BYTES,
-            spec.system_enclave,
-        )
-        for spec in state.enclaves
-    )
-    return EpcSample(
-        node_id=state.node_id,
-        timestamp=node.clock.now(),
-        pages_in_total=state.pages_in_total,
-        pages_out_total=state.pages_out_total,
-        enclaves=enclaves,
-    )
-
-
-class NodeTelemetry:
-    """Bounded sample history for one node, enforcing timestamp monotonicity."""
-
-    def __init__(self, node_id: str) -> None:
-        self.node_id = node_id
-        self._samples: deque[EpcSample] = deque(maxlen=128)
-
-    def add(self, sample: EpcSample) -> None:
-        if sample.node_id != self.node_id:
-            raise ValueError("sample from a different node")
-        if self._samples and sample.timestamp <= self._samples[-1].timestamp:
-            raise ValueError("timestamps must be strictly increasing per node")
-        self._samples.append(sample)
-
-    def window(self, k: int) -> list[EpcSample]:
-        if k < 1:
-            raise ValueError("window must be >= 1")
-        return list(self._samples)[-k:]
-
-    def __len__(self) -> int:
-        return len(self._samples)
+    return node.paging_state()
 
 
 def paging_throughput(samples: Sequence[EpcSample]) -> float:
@@ -115,9 +44,21 @@ SERVICE_CSV_HEADER = "ts,service,endpoint,weight,conns,util"
 
 
 def epc_csv_row(sample: EpcSample) -> str:
+    enclaves_json = json.dumps(
+        [
+            {
+                "id": e.enclave_id,
+                "measurement": e.measurement_hex,
+                "resident_pages": e.resident_pages,
+                "system": e.system_flag,
+            }
+            for e in sample.enclaves
+        ],
+        separators=(",", ":"),
+    )
     return (
         f"{sample.timestamp!r},{sample.node_id},{sample.pages_in_total},"
-        f"{sample.pages_out_total},\"{sample.enclaves_json().replace(chr(34), chr(34) * 2)}\""
+        f"{sample.pages_out_total},\"{enclaves_json.replace(chr(34), chr(34) * 2)}\""
     )
 
 

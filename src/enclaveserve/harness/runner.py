@@ -59,7 +59,7 @@ from ..control.autoscale import Autoscaler
 from ..control.errors import NodeUnreachable
 from ..control.reconcile import Reconciler
 from ..control.slo import NodeObservation, SloController, SloSettings, observation_from_samples
-from ..control.telemetry import NodeTelemetry, collect, epc_csv_row, service_csv_row
+from ..control.telemetry import collect, epc_csv_row, service_csv_row
 from ..profiles import ModelProfile
 from ..serving.errors import NoEligibleEndpoint
 from ..serving.frontend import Endpoint, VirtualService
@@ -70,7 +70,7 @@ from ..serving.replica import (
     start_replica,
     stop_replica,
 )
-from ..substrate.node import EnclaveSpec, MIB, Node, NodeSpec, Substrate
+from ..substrate.node import EnclaveSpec, EpcSample, MIB, Node, NodeSpec, Substrate
 from .errors import ScenarioFailed
 from .metrics import (
     Recorder,
@@ -121,7 +121,8 @@ class ClusterRunner:
         self.crypto_rng = crypto.derived_rng(config.seed, "session-crypto")
         self._rng_lock = threading.Lock()
         self.interval = config.slo.sample_interval_s if config.slo else SloSettings.sample_interval_s
-        self._telemetry: dict[str, NodeTelemetry] = {}
+        # each node's last successful telemetry sample
+        self._last_sample: dict[str, EpcSample] = {}
         self.telemetry_gaps = 0
         # the client's resumption tickets, and how each request's handshake went
         self.tickets = TicketCache()
@@ -149,7 +150,6 @@ class ClusterRunner:
                 ),
                 t_ref=config.t_ref_pages_per_s,
             )
-            self._telemetry[node_config.node_id] = NodeTelemetry(node_config.node_id)
 
         deployment = AecsDeployment(
             measurement=AECS_MEASUREMENT, registry=self.substrate.registry, store=self.store
@@ -227,11 +227,11 @@ class ClusterRunner:
                 self.telemetry_gaps += 1
                 observations[node.node_id] = NodeObservation(throughput=None)
                 continue
-            self._telemetry[node.node_id].add(sample)
             self.epc_rows.append(epc_csv_row(sample))
-            observations[node.node_id] = observation_from_samples(
-                self._telemetry[node.node_id].window(2)
-            )
+            # after a gap, the throughput spans back to the last good sample
+            previous = self._last_sample.get(node.node_id)
+            observations[node.node_id] = observation_from_samples(previous, sample)
+            self._last_sample[node.node_id] = sample
 
         if self.controller is not None:
             self.controller.step(observations, now)

@@ -52,6 +52,7 @@ comparison runs, so the load stays satisfiable when one backend is stopped.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,7 +145,22 @@ class ScenarioConfig:
 _ALGORITHMS = ("rr", "lc", "sed", "sgx_aware")
 
 
+def _require_finite(value, where: str) -> None:
+    """Raise ConfigInvalid naming the first number in `value`, a config
+    section, tuple or scalar, that is infinite or NaN."""
+    if dataclasses.is_dataclass(value):
+        keys = {name: key for key, name in _KEYS.get(type(value), {}).items()}
+        for f in dataclasses.fields(value):
+            _require_finite(getattr(value, f.name), f"{where}.{keys.get(f.name, f.name)}")
+    elif isinstance(value, tuple):
+        for item in value:
+            _require_finite(item, f"{where}[]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigInvalid(f"{where} must be a finite number")
+
+
 def validate(config: ScenarioConfig) -> ScenarioConfig:
+    _require_finite(config, "scenario")
     node_ids = [n.node_id for n in config.nodes]
     if not node_ids:
         raise ConfigInvalid("cluster needs at least one node")
@@ -154,6 +170,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigInvalid("node epc_mib must be >= 1")
     if config.duration_s <= 0:
         raise ConfigInvalid("duration_s must be positive")
+    if config.t_ref_pages_per_s <= 0:
+        raise ConfigInvalid("cluster.t_ref_pages_per_s must be positive")
     if config.model not in PRESETS:
         raise ConfigInvalid(f"unknown model preset {config.model!r}")
     if config.algorithm not in _ALGORITHMS:
@@ -274,7 +292,10 @@ def _value(tp, value, where: str):
         return tuple(_value(a, v, where) for a, v in zip(args, value, strict=True))
     if tp is bool and not isinstance(value, bool):
         raise ConfigInvalid(f"{where} must be true or false")  # bool("false") is True
-    return tp(value)
+    try:
+        return tp(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # int(.inf) overflows
+        raise ConfigInvalid(f"{where}: {exc}") from exc
 
 
 def from_dict(raw: dict) -> ScenarioConfig:

@@ -1,9 +1,12 @@
 """Nodes, enclaves, and EPC residency accounting.
 
 Each node serializes its mutations through one lock (the per-node substrate
-authority); telemetry reads take a consistent snapshot under the same lock.
-Paging counters integrate the model throughput over clock time, so samples
-taken at any instant reflect everything scheduled before them.
+authority). The node's paging throughput changes only when its enclave set
+does, so `launch_enclave` and `terminate_enclave` recompute it, after the
+counters have integrated the old rate up to that instant; the counters and
+`service_latency` read the cached value. `paging_state()` is the node's one
+telemetry snapshot, an `EpcSample` taken under the lock and timestamped by
+the node's clock, so a sample reflects everything scheduled before it.
 
 A node can be over-committed: launches never fail for capacity, the paging
 model absorbs the overflow. Residency under contention is split in
@@ -18,12 +21,7 @@ from dataclasses import dataclass
 from ..clock import Clock
 from . import attest, sealing
 from .errors import DuplicateEnclave, EnclaveNotRunning
-from .paging import (
-    DEFAULT_T_REF_PAGES_PER_S,
-    LinearLatencyModel,
-    PAGE_BYTES,
-    ProportionalOverflowModel,
-)
+from .paging import DEFAULT_T_REF_PAGES_PER_S, PAGE_BYTES, inflate_latency, overflow_throughput
 
 MIB = 1024 * 1024
 DEFAULT_EPC_USABLE_BYTES = 93 * MIB
@@ -64,14 +62,26 @@ class EnclaveSpec:
 
 
 @dataclass(frozen=True)
-class NodePagingState:
-    """Telemetry snapshot of one node, mirroring a driver's proc files."""
+class EnclaveObservation:
+    enclave_id: str
+    measurement_hex: str
+    resident_pages: int
+    system_flag: bool
+
+
+@dataclass(frozen=True)
+class EpcSample:
+    """Telemetry snapshot of one node, mirroring a driver's proc files.
+
+    It carries node totals only: swapped pages are not attributed to
+    individual enclaves, which share the counters as the node keeps them.
+    """
 
     node_id: str
-    resident_bytes: dict[str, int]
+    timestamp: float
     pages_in_total: int
     pages_out_total: int
-    enclaves: tuple[EnclaveSpec, ...]
+    enclaves: tuple[EnclaveObservation, ...]
 
 
 @dataclass
@@ -100,12 +110,11 @@ class Node:
         self.spec = spec
         self.t_ref = t_ref
         self.clock = clock
-        self._paging_model = ProportionalOverflowModel()
-        self.latency_model = LinearLatencyModel(t_ref=t_ref)
         self._lock = threading.RLock()
         self._enclaves: dict[str, EnclaveHandle] = {}
         self._pages_in = 0.0
         self._pages_out = 0.0
+        self._throughput = 0.0  # of the current enclave set: none yet
         self._last_advance = clock.now()
         self._seal_counter = 0
         # fault injection: telemetry collection fails while this is set
@@ -126,6 +135,7 @@ class Node:
                 )
             handle = EnclaveHandle(self, spec)
             self._enclaves[spec.enclave_id] = handle
+            self._recompute_throughput()
             return handle
 
     def terminate_enclave(self, handle: EnclaveHandle) -> None:
@@ -136,6 +146,7 @@ class Node:
                 raise EnclaveNotRunning(f"enclave {handle.spec.enclave_id!r} is not running")
             handle.running = False
             del self._enclaves[handle.spec.enclave_id]
+            self._recompute_throughput()
 
     def enclave_handle(self, enclave_id: str) -> EnclaveHandle | None:
         with self._lock:
@@ -147,57 +158,54 @@ class Node:
         now = self.clock.now()
         dt = now - self._last_advance
         if dt > 0:
-            rate = self._paging_model.throughput(
-                self.spec.epc_usable_bytes, [h.spec for h in self._enclaves.values()]
-            )
             # page-in and page-out move in lockstep when the EPC is full
-            self._pages_in += rate * dt / 2.0
-            self._pages_out += rate * dt / 2.0
+            self._pages_in += self._throughput * dt / 2.0
+            self._pages_out += self._throughput * dt / 2.0
         self._last_advance = now
 
-    def paging_throughput(self) -> float:
-        with self._lock:
-            return self._paging_model.throughput(
-                self.spec.epc_usable_bytes, [h.spec for h in self._enclaves.values()]
-            )
-
-    def residency(self) -> dict[str, int]:
-        with self._lock:
-            return self._residency_locked()
-
-    def _residency_locked(self) -> dict[str, int]:
-        specs = [h.spec for h in self._enclaves.values()]
-        total_ws = sum(s.working_set_bytes for s in specs)
-        epc = self.spec.epc_usable_bytes
-        if total_ws <= epc:
-            return {s.enclave_id: s.working_set_bytes for s in specs}
-        return {s.enclave_id: epc * s.working_set_bytes // total_ws for s in specs}
+    def _recompute_throughput(self) -> None:
+        self._throughput = overflow_throughput(
+            self.spec.epc_usable_bytes, [h.spec for h in self._enclaves.values()]
+        )
 
     def service_latency(self, base: float) -> float:
         """Base latency inflated by the node's current paging throughput."""
-        with self._lock:
-            return self.latency_model.inflate(base, self.paging_throughput())
+        # one attribute read, atomic without the lock
+        return inflate_latency(base, self._throughput, self.t_ref)
 
-    def paging_state(self) -> NodePagingState:
+    def paging_state(self) -> EpcSample:
         with self._lock:
             self._advance()
-            return NodePagingState(
+            specs = [h.spec for h in self._enclaves.values()]
+            total_ws = sum(s.working_set_bytes for s in specs)
+            epc = self.spec.epc_usable_bytes
+            fits = total_ws <= epc  # else split in proportion to working-set demand
+            enclaves = tuple(
+                EnclaveObservation(
+                    s.enclave_id,
+                    s.measurement.hex(),
+                    (s.working_set_bytes if fits else epc * s.working_set_bytes // total_ws)
+                    // PAGE_BYTES,
+                    s.system_enclave,
+                )
+                for s in specs
+            )
+            return EpcSample(
                 node_id=self.node_id,
-                resident_bytes=self._residency_locked(),
+                timestamp=self._last_advance,  # the clock's now, read by _advance
                 pages_in_total=int(self._pages_in),
                 pages_out_total=int(self._pages_out),
-                enclaves=tuple(h.spec for h in self._enclaves.values()),
+                enclaves=enclaves,
             )
 
     def proc_snapshot(self) -> str:
         """Stable textual export, one `id measurement resident_pages flag`
         line per enclave, then a `pages_in pages_out` stats line."""
         state = self.paging_state()
-        lines = []
-        for spec in state.enclaves:
-            resident_pages = state.resident_bytes[spec.enclave_id] // PAGE_BYTES
-            flag = 1 if spec.system_enclave else 0
-            lines.append(f"{spec.enclave_id} {spec.measurement.hex()} {resident_pages} {flag}")
+        lines = [
+            f"{e.enclave_id} {e.measurement_hex} {e.resident_pages} {int(e.system_flag)}"
+            for e in state.enclaves
+        ]
         lines.append(f"{state.pages_in_total} {state.pages_out_total}")
         return "\n".join(lines) + "\n"
 

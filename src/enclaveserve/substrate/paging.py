@@ -18,36 +18,25 @@ PAGE_BYTES = 4096
 KAPPA = 4.0
 
 
-class ProportionalOverflowModel:
-    """Throughput = overflow fraction of total working set, times total access rate.
+def overflow_throughput(epc_usable_bytes: int, enclaves: Iterable[EnclaveSpec]) -> float:
+    """Overflow fraction of the total working set, times the total access rate.
 
     overflow_fraction = max(0, sum(ws) - epc_usable) / sum(ws)
     """
-
-    def throughput(self, epc_usable_bytes: int, enclaves: Iterable[EnclaveSpec]) -> float:
-        specs = list(enclaves)
-        total_ws = sum(e.working_set_bytes for e in specs)
-        if total_ws <= epc_usable_bytes or total_ws == 0:
-            return 0.0
-        fraction = (total_ws - epc_usable_bytes) / total_ws
-        return fraction * sum(e.page_access_rate for e in specs)
+    specs = list(enclaves)
+    total_ws = sum(e.working_set_bytes for e in specs)
+    if total_ws <= epc_usable_bytes or total_ws == 0:
+        return 0.0
+    fraction = (total_ws - epc_usable_bytes) / total_ws
+    return fraction * sum(e.page_access_rate for e in specs)
 
 
-class LinearLatencyModel:
+def inflate_latency(
+    base: float, paging: float, t_ref: float = DEFAULT_T_REF_PAGES_PER_S
+) -> float:
     """latency = base * (1 + KAPPA * paging / t_ref)."""
-
-    def __init__(self, t_ref: float = DEFAULT_T_REF_PAGES_PER_S) -> None:
-        if t_ref <= 0:
-            raise ValueError("t_ref must be > 0")
-        self.t_ref = t_ref
-
-    def inflate(self, base: float, paging: float) -> float:
-        return base * (1.0 + KAPPA * paging / self.t_ref)
-
-
-def inflate_latency(base: float, paging: float) -> float:
     if base <= 0:
         raise ValueError("base latency must be positive")
     if paging < 0:
         raise ValueError("paging throughput must be nonnegative")
-    return LinearLatencyModel().inflate(base, paging)
+    return base * (1.0 + KAPPA * paging / t_ref)

@@ -555,9 +555,12 @@ def test_wire_provision_request_roundtrip(cluster, tmp_path):
 
 def test_wire_rpc_over_framed_pipe_transport(cluster, tmp_path):
     substrate, _, replicas = bootstrapped(cluster, tmp_path)
-    from enclaveserve.channel.transport import make_pipe
+    import socket
 
-    client_end, server_end = make_pipe()
+    from enclaveserve.channel.transport import SocketTransport
+
+    left, right = socket.socketpair()
+    client_end, server_end = SocketTransport(left), SocketTransport(right)
 
     def serve(requests: int) -> None:
         for _ in range(requests):
@@ -576,6 +579,8 @@ def test_wire_rpc_over_framed_pipe_transport(cluster, tmp_path):
     with pytest.raises(UnknownService):
         client.get_certificate("ghost")
     server.join()
+    left.close()
+    right.close()
 
 
 def test_wire_malformed_frames_return_errors(cluster, tmp_path):

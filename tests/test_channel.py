@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enclaveserve import crypto
 from enclaveserve.confine import reset_taint, taint_events
 from enclaveserve.channel import (
     Certificate,
@@ -23,20 +24,29 @@ from enclaveserve.channel import (
     SignatureInvalid,
     Ticket,
     TicketCache,
+    TransportClosed,
     client_handshake,
     generate_pki,
     handshake_in_process,
-    make_pipe,
     open_record,
     seal_record,
     server_handshake,
 )
 from enclaveserve.channel.record import RECORD_OVERHEAD
-from enclaveserve.channel.transport import SocketTransport, WiretapTransport
+from enclaveserve.channel.transport import SocketTransport, WiretapTransport, encode_frame
 
 
 def fresh_pki(seed=1, subject="svc"):
     return generate_pki(subject, random.Random(seed))
+
+
+def self_signed(cert: Certificate) -> bool:
+    return crypto.verify_signature(cert.public_key, cert.self_signature, cert.signed_body())
+
+
+def socket_transports() -> tuple[SocketTransport, SocketTransport]:
+    left, right = socket.socketpair()
+    return SocketTransport(left), SocketTransport(right)
 
 
 # -- certificates ------------------------------------------------------------------
@@ -44,7 +54,7 @@ def fresh_pki(seed=1, subject="svc"):
 
 def test_self_signature_verifies():
     pki = fresh_pki()
-    assert pki.certificate.verify_self_signature()
+    assert self_signed(pki.certificate)
 
 
 def test_distinct_seeds_distinct_keys():
@@ -57,7 +67,7 @@ def test_certificate_wire_roundtrip_is_byte_identical():
     again = Certificate.decode(cert.encode())
     assert again == cert
     assert again.encode() == cert.encode()
-    assert again.verify_self_signature()
+    assert self_signed(again)
 
 
 def test_certificate_decode_rejects_garbage():
@@ -464,18 +474,24 @@ def test_distinct_sessions_run_concurrently():
 
 
 def test_blocking_handshake_over_pipe():
+    # the handshake and then a record each way, all as frames on the pipe
     pki = fresh_pki()
-    a, b = make_pipe()
+    a, b = socket_transports()
     result = {}
 
     def serve():
-        result["session"] = server_handshake(b, pki, random.Random(51))
+        session = server_handshake(b, pki, random.Random(51))
+        b.send_frame(seal_record(session, open_record(session, b.recv_frame(2.0)) + b"!"))
 
     thread = threading.Thread(target=serve)
     thread.start()
     client = client_handshake(a, pki.certificate, random.Random(52))
+    a.send_frame(seal_record(client, b"pipe"))
+    result["reply"] = open_record(client, a.recv_frame(2.0))
     thread.join()
-    assert open_record(result["session"], seal_record(client, b"pipe")) == b"pipe"
+    assert result["reply"] == b"pipe!"
+    a.close()
+    b.close()
 
 
 def test_handshake_over_real_socketpair():
@@ -506,18 +522,49 @@ def test_socket_transport_sets_tcp_nodelay():
 
 
 def test_recv_timeout_raises():
-    a, _b = make_pipe()
+    a, b = socket_transports()
     with pytest.raises(HandshakeTimeout):
         a.recv_frame(timeout=0.01)
+    a.close()
+    b.close()
 
 
 def test_wiretap_captures_frames():
     capture: list[bytes] = []
-    a, b = make_pipe()
+    a, b = socket_transports()
     tap = WiretapTransport(a, capture)
     tap.send_frame(b"hello")
     assert b.recv_frame(0.1) == b"hello"
     assert capture == [b"hello"]
+    a.close()
+    b.close()
+
+
+def test_frame_larger_than_the_socket_buffers_arrives_whole():
+    left, right = socket.socketpair()
+    buffered = left.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) + right.getsockopt(
+        socket.SOL_SOCKET, socket.SO_RCVBUF
+    )
+    payload = random.Random(7).randbytes(4 * buffered)
+    a, b = SocketTransport(left), SocketTransport(right)
+    sender = threading.Thread(target=a.send_frame, args=(payload,))
+    sender.start()
+    received = b.recv_frame(5.0)
+    sender.join()
+    assert type(received) is bytes
+    assert received == payload
+    a.close()
+    b.close()
+
+
+def test_peer_closing_mid_frame_raises_transport_closed():
+    left, right = socket.socketpair()
+    frame = encode_frame(b"x" * 1000)
+    left.sendall(frame[: len(frame) // 2])
+    left.close()
+    with pytest.raises(TransportClosed):
+        SocketTransport(right).recv_frame(2.0)
+    right.close()
 
 
 # -- confinement -------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from enclaveserve.control import (
     EpcSample,
     InsufficientSamples,
     NodeObservation,
-    NodeTelemetry,
     PlacementFailure,
     Reconciler,
     SloController,
@@ -29,6 +28,7 @@ from enclaveserve.control.reconcile import DRAIN_TIMEOUT_S
 from enclaveserve.profiles import PRESETS, ModelProfile
 from enclaveserve.serving import Endpoint, VirtualService
 from enclaveserve.substrate.node import EnclaveSpec, MIB
+from enclaveserve.substrate.paging import overflow_throughput
 
 from .conftest import make_node_spec
 
@@ -48,15 +48,19 @@ def test_collect_idle_node_deltas_zero(loop, substrate):
 
 def test_collect_overflow_matches_model_within_quantization(loop, substrate):
     node = substrate.add_node(make_node_spec())
-    node.launch_enclave(EnclaveSpec("a", b"\x01" * 32, 96 * MIB, 80 * MIB, 1000.0))
-    node.launch_enclave(EnclaveSpec("b", b"\x01" * 32, 96 * MIB, 40 * MIB, 1000.0))
+    specs = [
+        EnclaveSpec("a", b"\x01" * 32, 96 * MIB, 80 * MIB, 1000.0),
+        EnclaveSpec("b", b"\x01" * 32, 96 * MIB, 40 * MIB, 1000.0),
+    ]
+    for spec in specs:
+        node.launch_enclave(spec)
     first = collect(node)
     loop.run(until=1.0)
     second = collect(node)
     delta = (second.pages_in_total + second.pages_out_total) - (
         first.pages_in_total + first.pages_out_total
     )
-    assert delta == pytest.approx(node.paging_throughput() * 1.0, abs=2)
+    assert delta == pytest.approx(overflow_throughput(node.spec.epc_usable_bytes, specs), abs=2)
 
 
 def test_collect_unreachable_node(loop, substrate):
@@ -68,10 +72,9 @@ def test_collect_unreachable_node(loop, substrate):
 
 def test_telemetry_requires_strictly_increasing_timestamps(loop, substrate):
     node = substrate.add_node(make_node_spec())
-    telemetry = NodeTelemetry(node.node_id)
-    telemetry.add(collect(node))
-    with pytest.raises(ValueError):
-        telemetry.add(collect(node))  # clock has not advanced
+    first = collect(node)
+    with pytest.raises(InsufficientSamples):
+        paging_throughput([first, collect(node)])  # clock has not advanced
 
 
 def sample(ts, pages_in, pages_out, node_id="n"):

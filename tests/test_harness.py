@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import gc
+import math
 import os
 import random
 import signal
@@ -10,6 +12,8 @@ import socket
 import tempfile
 import threading
 import time
+import typing
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -25,7 +29,7 @@ from enclaveserve.channel.record import Session
 from enclaveserve.channel.transport import MAX_FRAME
 from enclaveserve.cli import main as cli_main
 from enclaveserve.confine import ConfinedSecret, reset_taint, taint_events
-from enclaveserve.control import profile_boundary
+from enclaveserve.control import SloController, paging_throughput, profile_boundary
 from enclaveserve.harness import (
     STATUS_OK,
     STATUS_REJECTED,
@@ -54,12 +58,17 @@ from enclaveserve.harness.scenario import (
     PROFILED_BOUNDARIES,
     AutoscaleSettings,
     InterferenceSettings,
+    NodeConfig,
+    ScenarioConfig,
     SloSettings,
     WorkloadSettings,
     from_dict,
 )
 from enclaveserve.profiles import PRESETS
 from enclaveserve.serving import Endpoint, ModelServerReplica, crash_replica
+from enclaveserve.substrate import node as node_module
+from enclaveserve.substrate.node import Node
+from enclaveserve.substrate.paging import inflate_latency
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -214,6 +223,81 @@ def test_config_invalid_cases(mutate, message):
 
 SLO = {"boundary_pages_per_s": 4950.0}
 WINDOW = {"node": "n1", "windows": [[1.0, 2.0]], "epc_mib": 93, "rate_pages_per_s": 1000.0}
+
+# every section set in full, so each number field appears
+FULL = {
+    "name": "demo",
+    "seed": 3,
+    "duration_s": 10.0,
+    "cluster": {"t_ref_pages_per_s": 1e4, "nodes": [{"id": "n1", "epc_mib": 93}]},
+    "aecs": {"replicas": [{"id": "a0", "node": "n1"}]},
+    "service": {
+        "id": "svc",
+        "model": "mobilenet_v1_float",
+        "algorithm": "sgx_aware",
+        "parallelism": 2,
+        "replicas": [{"id": "r0", "node": "n1"}],
+    },
+    "policies": {
+        "slo": {**SLO, "theta": 0.7, "consecutive_cycles": 5, "sample_interval_s": 1.0},
+        "autoscale": {"enabled": True, "target_utilization": 0.6, "min_replicas": 1,
+                      "max_replicas": 1, "cooldown_s": 30.0},
+    },
+    "workload": {"rate_per_s": 10.0, "payload_bytes": 64, "timeout_s": 10.0},
+    "interference": [WINDOW],
+}
+
+
+def _number_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _number_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _number_paths(item, path + (index,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+def _with(path, value):
+    raw = copy.deepcopy(FULL)
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return raw
+
+
+NUMBER_PATHS = list(_number_paths(FULL))
+
+
+def test_full_scenario_sets_every_number_field():
+    from_dict(FULL)
+    names = {key for path in NUMBER_PATHS for key in path if isinstance(key, str)}
+    for cls in (ScenarioConfig, NodeConfig, WorkloadSettings, SloSettings, AutoscaleSettings,
+                InterferenceSettings):
+        for name, tp in typing.get_type_hints(cls).items():
+            if tp in (int, float):
+                assert name in names, (cls.__name__, name)
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        pytest.param(path, value, id=f"{'.'.join(map(str, path))}={value}")
+        for path in NUMBER_PATHS
+        for value in (math.inf, -math.inf, math.nan)
+    ]
+    + [
+        pytest.param(("cluster", "t_ref_pages_per_s"), value, id=f"t_ref={value}")
+        for value in (0.0, -1.0)
+    ],
+)
+def test_non_finite_numbers_and_bad_t_ref_are_rejected_naming_the_field(path, value):
+    # validation alone decides: nothing is built or run
+    field_name = [key for key in path if isinstance(key, str)][-1]
+    with pytest.raises(ConfigInvalid, match=field_name):
+        from_dict(_with(path, value))
 
 
 @pytest.mark.parametrize(
@@ -453,6 +537,143 @@ def test_only_the_clocks_and_the_real_runner_touch_the_wall_clock():
                 users.setdefault(module, []).append(node.lineno)
     assert "clock.py" in users  # the scan sees what it looks for
     assert set(users) <= allowed, users
+
+
+# names no src/ module uses, each kept for the reason given
+UNREFERENCED_ALLOWED = {
+    "build_lb_scenario": "public builder of the paper's comparison scenarios",
+    "build_scaling_scenario": "public builder of the scaling scenarios",
+    "crash_replica": "fault injector for drills",
+    "Node.proc_snapshot": "documented stable text format",
+}
+
+
+def _unreferenced_definitions() -> list[str]:
+    """Functions, classes and methods defined in src/ whose name no src/
+    module mentions outside their own definition and the package
+    `__init__` re-exports. Names match by spelling alone, so a method
+    counts as used if any attribute of that name is read."""
+    root = Path(enclaveserve.__file__).parent
+    trees = {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text())
+        for path in sorted(root.rglob("*.py"))
+    }
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = []  # (module, qualified name, name, node)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, kinds):
+                defined.append((module, node.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, f"{node.name}.{sub.name}", sub.name, sub)
+                    for sub in node.body
+                    if isinstance(sub, kinds[:2]) and not sub.name.startswith("__")
+                ]
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        if module.endswith("__init__.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((module, node.lineno))
+    return [
+        qualified
+        for module, qualified, name, node in defined
+        if all(
+            where == module and node.lineno <= line <= node.end_lineno
+            for where, line in uses.get(name, [])
+        )
+    ]
+
+
+def test_src_defines_nothing_that_only_tests_use():
+    unreferenced = _unreferenced_definitions()
+    assert set(UNREFERENCED_ALLOWED) <= set(unreferenced)  # the scan sees them
+    assert sorted(set(unreferenced) - set(UNREFERENCED_ALLOWED)) == []
+
+
+def test_paging_formula_runs_only_at_enclave_launch_and_termination(monkeypatch):
+    formula = node_module.overflow_throughput
+    calls = {"formula": 0, "changes": 0, "requests": 0}
+    specs: dict[int, dict[str, object]] = {}  # the enclave set each node should have
+    serving = []
+
+    def counted_formula(*args):
+        assert not serving, "paging recomputed while serving a request"
+        calls["formula"] += 1
+        return formula(*args)
+
+    def launch(self, spec, launch=Node.launch_enclave):
+        handle = launch(self, spec)
+        calls["changes"] += 1
+        specs.setdefault(id(self), {})[spec.enclave_id] = spec
+        return handle
+
+    def terminate(self, handle, terminate=Node.terminate_enclave):
+        terminate(self, handle)
+        calls["changes"] += 1
+        del specs[id(self)][handle.spec.enclave_id]
+
+    def service_latency(self, base, service_latency=Node.service_latency):
+        serving.append(base)
+        try:
+            latency = service_latency(self, base)
+        finally:
+            serving.pop()
+        calls["requests"] += 1
+        # the cached throughput is what the formula gives for the set now
+        expected = formula(self.spec.epc_usable_bytes, specs[id(self)].values())
+        assert latency == inflate_latency(base, expected, self.t_ref)
+        return latency
+
+    monkeypatch.setattr(node_module, "overflow_throughput", counted_formula)
+    monkeypatch.setattr(Node, "launch_enclave", launch)
+    monkeypatch.setattr(Node, "terminate_enclave", terminate)
+    monkeypatch.setattr(Node, "service_latency", service_latency)
+    report = run_scenario(small_scenario(algorithm="sgx_aware", interference="high"))
+    # the keystore, three replicas, and the interference window's two edges
+    assert calls["formula"] == calls["changes"] == 6
+    assert calls["requests"] == report.sent - report.rejected > calls["changes"]
+
+
+def test_first_observation_after_a_telemetry_gap_spans_back_to_the_last_sample(monkeypatch):
+    # node-a is cut off for the ticks at 3 s and 4 s; the interference on
+    # it runs from 2 s to 4 s, so its counters move only inside the gap
+    samples: dict[str, list] = {}
+    observations = []
+
+    def collect(node, collect=runner_module.collect):
+        sample = collect(node)
+        samples.setdefault(node.node_id, []).append(sample)
+        return sample
+
+    def step(self, obs, now=0.0, step=SloController.step):
+        observations.append((now, obs))
+        return step(self, obs, now)
+
+    class GapRunner(VirtualRunner):
+        def _schedule(self):
+            super()._schedule()
+            node = self.substrate.node("node-a")
+            self.clock.call_at(2.5, partial(setattr, node, "unreachable", True))
+            self.clock.call_at(4.5, partial(setattr, node, "unreachable", False))
+
+    monkeypatch.setattr(runner_module, "collect", collect)
+    monkeypatch.setattr(SloController, "step", step)
+    runner = GapRunner(small_scenario(algorithm="sgx_aware", interference="high"))
+    runner.run()
+    by_time = {now: obs["node-a"] for now, obs in observations}
+    assert by_time[3.0].throughput is None and by_time[4.0].throughput is None
+    before, after = (s for s in samples["node-a"] if s.timestamp in (2.0, 5.0))
+    assert after.pages_in_total > before.pages_in_total
+    assert by_time[5.0].throughput == paging_throughput([before, after])
+    assert by_time[5.0].throughput > 0
+    assert runner.telemetry_gaps == 2
+    # the first tick has no earlier sample, so it misses a cycle too
+    assert runner.controller.missing_cycles == 1 + 2
 
 
 def test_one_full_handshake_then_resumption_on_the_virtual_clock():
@@ -863,14 +1084,15 @@ def test_autoscale_demo_stops_what_it_drains(algorithm):
     assert len(endpoints) == desired == 1
 
 
-MISTAKES = ("key", "epc", "placement", "payload", "window", "autoscale", "slo")
+MISTAKES = ("key", "epc", "placement", "payload", "window", "autoscale", "slo", "t_ref")
 
 
 @st.composite
 def raw_scenarios(draw):
     """Scenario YAML as written: 1-4 nodes, random placements, every
     algorithm, SLO and autoscale settings (sgx_aware with autoscale too),
-    interference windows, payloads and timeouts, and runs of at most 1 s.
+    interference windows, payloads and timeouts, paging reference rates,
+    and runs of at most 1 s.
     About one in three carries one mistake that `validate()` must catch."""
     mistake = draw(st.sampled_from((None,) * 14 + MISTAKES))
     duration = draw(st.sampled_from([0.25, 0.5, 1.0]))
@@ -907,7 +1129,10 @@ def raw_scenarios(draw):
         "name": "generated",
         "seed": draw(st.integers(0, 9)),
         "duration_s": duration,
-        "cluster": {"nodes": nodes},
+        "cluster": {
+            "t_ref_pages_per_s": draw(st.sampled_from([1e3, 1e4, 1e5])),
+            "nodes": nodes,
+        },
         "aecs": {"replicas": [{"id": "aecs-0", "node": draw(st.sampled_from(node_ids))}]},
         "service": {
             "id": "svc",
@@ -945,6 +1170,8 @@ def raw_scenarios(draw):
     elif mistake == "slo":
         raw["service"]["algorithm"] = "sgx_aware"
         policies.pop("slo", None)
+    elif mistake == "t_ref":
+        raw["cluster"]["t_ref_pages_per_s"] = draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
     return raw
 
 

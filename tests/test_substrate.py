@@ -10,15 +10,15 @@ from enclaveserve.substrate import (
     DuplicateEnclave,
     EnclaveNotRunning,
     EnclaveSpec,
-    LinearLatencyModel,
     MeasurementMismatch,
     NodeSpec,
+    PAGE_BYTES,
     PlatformTagInvalid,
-    ProportionalOverflowModel,
     SealedBlob,
     UnknownPlatform,
     UnsealFailure,
     inflate_latency,
+    overflow_throughput,
     verify_report,
 )
 from enclaveserve.substrate.attest import EnclaveReport
@@ -42,14 +42,18 @@ def enclave(eid, ws_mib, rate=0.0, requested_mib=None, measurement=MEAS_A, syste
     )
 
 
+def resident_bytes(node) -> dict[str, int]:
+    return {e.enclave_id: e.resident_pages * PAGE_BYTES for e in node.paging_state().enclaves}
+
+
 # -- launch / residency ------------------------------------------------------------
 
 
 def test_launch_fits_in_epc(substrate):
     node = substrate.add_node(make_node_spec())
     node.launch_enclave(enclave("e1", 60))
-    assert node.residency()["e1"] == 60 * MIB
-    assert node.paging_throughput() == 0.0
+    assert resident_bytes(node)["e1"] == 60 * MIB
+    assert node.service_latency(0.020) == 0.020  # no paging
 
 
 def test_default_epc_is_93_mib(substrate):
@@ -61,7 +65,7 @@ def test_overcommitted_launch_succeeds(substrate):
     # a LibOS-style boot may request more than the whole usable EPC
     node = substrate.add_node(make_node_spec())
     node.launch_enclave(enclave("big", 100, requested_mib=120))
-    assert sum(node.residency().values()) <= node.spec.epc_usable_bytes
+    assert sum(resident_bytes(node).values()) <= node.spec.epc_usable_bytes
 
 
 def test_duplicate_enclave_rejected(substrate):
@@ -83,7 +87,7 @@ def test_paging_zero_when_no_overflow(substrate):
     node = substrate.add_node(make_node_spec())
     node.launch_enclave(enclave("a", 30, rate=1000))
     node.launch_enclave(enclave("b", 40, rate=1000))
-    assert node.paging_throughput() == 0.0
+    assert node.service_latency(0.020) == 0.020
 
 
 def test_paging_proportional_overflow_by_hand(substrate):
@@ -91,14 +95,13 @@ def test_paging_proportional_overflow_by_hand(substrate):
     node = substrate.add_node(make_node_spec())
     node.launch_enclave(enclave("a", 80, rate=1000, requested_mib=96))
     node.launch_enclave(enclave("b", 40, rate=1000, requested_mib=96))
-    assert node.paging_throughput() == pytest.approx(450.0)
+    assert node.service_latency(0.020) == pytest.approx(inflate_latency(0.020, 450.0))
 
 
 def test_paging_half_rate_at_double_epc():
     # single working set of 2x usable EPC: overflow fraction 1/2
-    model = ProportionalOverflowModel()
     spec = enclave("a", 186, rate=777.0, requested_mib=186)
-    assert model.throughput(93 * MIB, [spec]) == pytest.approx(777.0 / 2)
+    assert overflow_throughput(93 * MIB, [spec]) == pytest.approx(777.0 / 2)
 
 
 @given(
@@ -107,9 +110,8 @@ def test_paging_half_rate_at_double_epc():
     )
 )
 def test_paging_zero_iff_fits(sets):
-    model = ProportionalOverflowModel()
     specs = [enclave(f"e{i}", ws, rate=rate) for i, (ws, rate) in enumerate(sets)]
-    throughput = model.throughput(93 * MIB, specs)
+    throughput = overflow_throughput(93 * MIB, specs)
     fits = sum(s.working_set_bytes for s in specs) <= 93 * MIB
     assert (throughput == 0.0) == fits
 
@@ -127,7 +129,7 @@ def test_residency_never_exceeds_capacity(sets, epc_mib):
     )
     for i, ws in enumerate(sets):
         node.launch_enclave(enclave(f"e{i}", ws, requested_mib=max(ws, 1)))
-    assert sum(node.residency().values()) <= epc_mib * MIB
+    assert sum(resident_bytes(node).values()) <= epc_mib * MIB
 
 
 # -- latency model ------------------------------------------------------------------
@@ -140,7 +142,7 @@ def test_latency_idle_equals_base():
 def test_latency_five_x_at_reference_thrash():
     # calibration anchor: paging at the full-thrash reference costs 5x
     assert inflate_latency(0.020, 1e4) == pytest.approx(0.100)
-    assert LinearLatencyModel(t_ref=2e4).inflate(0.020, 2e4) == pytest.approx(0.100)
+    assert inflate_latency(0.020, 2e4, t_ref=2e4) == pytest.approx(0.100)
 
 
 def test_latency_linear_midpoint():
@@ -337,7 +339,8 @@ def test_concurrent_sampling_sees_consistent_snapshots(substrate):
     def sampler():
         while not stop.is_set():
             state = node.paging_state()
-            if sum(state.resident_bytes.values()) > node.spec.epc_usable_bytes:
+            resident = sum(e.resident_pages for e in state.enclaves) * PAGE_BYTES
+            if resident > node.spec.epc_usable_bytes:
                 violations.append(state)
 
     threads = [threading.Thread(target=sampler) for _ in range(3)]

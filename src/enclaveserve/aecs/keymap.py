@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 
 from .. import crypto
 from ..channel.certs import Certificate, ConfinedSigningKey, ServicePki
+from ..channel.errors import HandshakeFailure
+from ..codec import Reader, prefixed
 from ..confine import ConfinedSecret
 from .errors import AecsError
 
 _MAGIC = b"keymap-v1"
+_HEAD = struct.Struct(">QI")  # version, entry count
 
 
 @dataclass(frozen=True)
@@ -32,50 +35,38 @@ class KeyMap:
     entries: dict[str, KeyMapEntry] = field(default_factory=dict)
 
     def encode(self) -> bytes:
-        parts = [_MAGIC, struct.pack(">Q", self.version), struct.pack(">I", len(self.entries))]
+        parts = [_MAGIC, _HEAD.pack(self.version, len(self.entries))]
         for service_id in sorted(self.entries):
             entry = self.entries[service_id]
-            sid = service_id.encode()
-            cert = entry.pki.certificate.encode()
-            priv = entry.pki.private_key.private_bytes("keymap-encrypt")
-            parts.append(struct.pack(">I", len(sid)))
-            parts.append(sid)
-            parts.append(entry.measurement)
-            parts.append(struct.pack(">I", len(cert)))
-            parts.append(cert)
-            parts.append(priv)
+            pki = encode_pki(entry.pki, "keymap-encrypt")
+            parts += (prefixed(service_id.encode()), entry.measurement, pki)
         return b"".join(parts)
 
     @classmethod
     def decode(cls, data: bytes) -> "KeyMap":
-        try:
-            if data[: len(_MAGIC)] != _MAGIC:
-                raise ValueError("bad magic")
-            off = len(_MAGIC)
-            (version,) = struct.unpack_from(">Q", data, off)
-            off += 8
-            (count,) = struct.unpack_from(">I", data, off)
-            off += 4
-            entries: dict[str, KeyMapEntry] = {}
-            for _ in range(count):
-                (sid_len,) = struct.unpack_from(">I", data, off)
-                off += 4
-                service_id = data[off : off + sid_len].decode()
-                off += sid_len
-                measurement = data[off : off + 32]
-                off += 32
-                (cert_len,) = struct.unpack_from(">I", data, off)
-                off += 4
-                cert = Certificate.decode(data[off : off + cert_len])
-                off += cert_len
-                priv = data[off : off + 32]
-                off += 32
-                entries[service_id] = KeyMapEntry(measurement, ServicePki(cert, ConfinedSigningKey(priv)))
-            if off != len(data):
-                raise ValueError("trailing bytes")
-            return cls(version=version, entries=entries)
-        except (ValueError, struct.error, UnicodeDecodeError) as exc:
-            raise AecsError(f"malformed key map: {exc}") from exc
+        r = Reader(data, AecsError, "key map", _MAGIC)
+        version, count = r.unpack(_HEAD)
+        entries: dict[str, KeyMapEntry] = {}
+        for _ in range(count):
+            service_id, measurement = r.text(), r.take(32)
+            entries[service_id] = KeyMapEntry(measurement, read_pki(r))
+        r.end()
+        return cls(version=version, entries=entries)
+
+
+def encode_pki(pki: ServicePki, purpose: str) -> bytes:
+    """`u32 cert_len | cert | private key(32)`: a PKI as the key map holds
+    it and as the keystore releases it to an attested enclave."""
+    return prefixed(pki.certificate.encode()) + pki.private_key.private_bytes(purpose)
+
+
+def read_pki(r: Reader) -> ServicePki:
+    """Read `encode_pki`'s layout; a bad certificate or key is `r`'s error."""
+    cert, private = r.prefixed(), r.take(32)
+    try:
+        return ServicePki(Certificate.decode(cert), ConfinedSigningKey(private))
+    except (HandshakeFailure, ValueError) as exc:
+        raise r.fail(str(exc)) from exc
 
 
 _CIPHER_INFO = b"enclaveserve keymap cipher v1"

@@ -13,8 +13,8 @@ so on the virtual clock they take no time.
 
 from __future__ import annotations
 
+import contextlib
 import random
-import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,13 +22,15 @@ from pathlib import Path
 from .. import crypto
 from ..channel.certs import Certificate, ServicePki, generate_pki
 from ..clock import Clock
+from ..codec import Reader
 from ..confine import ConfinedSecret
 from ..substrate.attest import PlatformRegistry, verify_report
-from ..substrate.errors import AttestationError
+from ..substrate.errors import AttestationError, UnsealFailure
 from ..substrate.node import EnclaveHandle
 from ..substrate.sealing import SealedBlob
 from . import wire
 from .errors import (
+    AecsError,
     AttestationMismatch,
     BindingMismatch,
     BootstrapTimeout,
@@ -40,7 +42,7 @@ from .errors import (
     UnknownService,
     VersionConflict,
 )
-from .keymap import KeyMap, KeyMapEntry, decrypt_keymap, encrypt_keymap
+from .keymap import KeyMap, KeyMapEntry, decrypt_keymap, encode_pki, encrypt_keymap, read_pki
 from .store import UntrustedStore
 
 GENERATION_LEN = 16
@@ -122,49 +124,26 @@ class AecsReplica:
     # -- bootstrap ------------------------------------------------------------
 
     def bootstrap(self) -> None:
-        """Obtain the deployment storage key and start serving.
+        """Obtain the deployment storage key, then start serving.
 
-        Election, local unsealing, and peer fetch are attempted in that
-        order; a corrupt or stale sealed blob silently falls back to the
-        attested fetch path.
+        The key comes from winning the election, from the local sealed blob
+        or from a serving peer after attestation, tried in that order; a
+        corrupt or stale sealed blob silently falls back to the peer fetch.
         """
         store = self.deployment.store
         generation = self._rng.randbytes(GENERATION_LEN)
         try:
             store.create_if_absent(LEADER_OBJECT, generation)
-            won = True
         except ObjectExists:
-            won = False
             generation, _ = store.get(LEADER_OBJECT)
-
-        if won:
-            key = ConfinedSecret(self._rng.randbytes(32))
-            self._adopt(generation, key)
+            if not self._try_unseal(generation):
+                self._fetch_from_peers(generation)
+        else:
+            self._adopt(generation, ConfinedSecret(self._rng.randbytes(32)))
             self.deployment.count_generation()
-            self._ensure_keymap_object()
-            self.serving = True
-            self.deployment.register(self)
-            return
-
-        if self._try_unseal(generation):
-            self._ensure_keymap_object()
-            self.serving = True
-            self.deployment.register(self)
-            return
-
-        for _ in range(BOOTSTRAP_POLLS):
-            for peer in self.deployment.serving_peers(exclude=self):
-                try:
-                    self._fetch_from_peer(peer, generation)
-                    self.serving = True
-                    self.deployment.register(self)
-                    return
-                except (AttestationMismatch, BindingMismatch, NotServing):
-                    continue
-            self._clock.sleep(BOOTSTRAP_POLL_S)
-        raise BootstrapTimeout(
-            f"replica {self.replica_id!r}: no sealed blob and no serving peer answered"
-        )
+        self._ensure_keymap_object()
+        self.serving = True
+        self.deployment.register(self)
 
     def shutdown(self) -> None:
         self.serving = False
@@ -181,27 +160,30 @@ class AecsReplica:
         self.sealed_path.write_bytes(blob.encode())
 
     def _try_unseal(self, current_generation: bytes) -> bool:
-        if not self.sealed_path.exists():
-            return False
-        from ..substrate.errors import UnsealFailure
-
         try:
             blob = SealedBlob.decode(self.sealed_path.read_bytes())
             plaintext = self.enclave.unseal(blob)
-        except UnsealFailure:
+            generation, key = _read_storage_key(plaintext, UnsealFailure, _SEALED_MAGIC)
+        except (FileNotFoundError, UnsealFailure):
             return False
-        if len(plaintext) != len(_SEALED_MAGIC) + GENERATION_LEN + 32:
+        if generation != current_generation:  # stale blob from an earlier round
             return False
-        if not plaintext.startswith(_SEALED_MAGIC):
-            return False
-        off = len(_SEALED_MAGIC)
-        generation = plaintext[off : off + GENERATION_LEN]
-        if generation != current_generation:
-            # stale blob from an earlier bootstrap round
-            return False
-        self._generation = generation
-        self._storage_key = ConfinedSecret(plaintext[off + GENERATION_LEN :])
+        self._generation, self._storage_key = generation, key
         return True
+
+    def _fetch_from_peers(self, generation: bytes) -> None:
+        """Poll for a serving peer until one releases the storage key."""
+        for _ in range(BOOTSTRAP_POLLS):
+            for peer in self.deployment.serving_peers(exclude=self):
+                try:
+                    self._fetch_from_peer(peer, generation)
+                    return
+                except (AttestationMismatch, BindingMismatch, NotServing):
+                    continue
+            self._clock.sleep(BOOTSTRAP_POLL_S)
+        raise BootstrapTimeout(
+            f"replica {self.replica_id!r}: no sealed blob and no serving peer answered"
+        )
 
     def _fetch_from_peer(self, peer: "AecsReplica", generation: bytes) -> None:
         temp = crypto.new_exchange_key(self._rng)
@@ -209,26 +191,19 @@ class AecsReplica:
         report = self.enclave.create_report(crypto.sha256(temp_pub))
         req = wire.ProvisionRequest("aecs", report, temp_pub)
         self.deployment.count_ra_fetch()
-        ciphertext = peer.fetch_storage_key(req)
-        plaintext = crypto.pk_decrypt(temp, ciphertext)
-        if len(plaintext) != GENERATION_LEN + 32:
-            raise BindingMismatch("unexpected storage-key payload")
-        fetched_generation = plaintext[:GENERATION_LEN]
+        payload = crypto.pk_decrypt(temp, peer.client().fetch_storage_key(req))
+        fetched_generation, key = _read_storage_key(payload, BindingMismatch)
         if fetched_generation != generation:
             raise NotServing("peer serving a different generation")
-        self._adopt(fetched_generation, ConfinedSecret(plaintext[GENERATION_LEN:]))
+        self._adopt(generation, key)
 
     def _ensure_keymap_object(self) -> None:
-        key = self._require_key()
+        key, store = self._require_key(), self.deployment.store
         try:
-            self.deployment.store.get(KEYMAP_OBJECT)
+            store.get(KEYMAP_OBJECT)
         except ObjectMissing:
-            try:
-                self.deployment.store.create_if_absent(
-                    KEYMAP_OBJECT, encrypt_keymap(KeyMap(), key, self._rng)
-                )
-            except ObjectExists:
-                pass
+            with contextlib.suppress(ObjectExists):
+                store.create_if_absent(KEYMAP_OBJECT, encrypt_keymap(KeyMap(), key, self._rng))
 
     def _require_key(self) -> ConfinedSecret:
         if self._storage_key is None:
@@ -307,7 +282,7 @@ class AecsReplica:
         except KeyError:
             raise UnknownService(req.service_id) from None
         self._check_release(req, entry.measurement)
-        plaintext = _encode_pki(entry.pki)
+        plaintext = encode_pki(entry.pki, "provision-encrypt")
         return crypto.pk_encrypt(req.temp_public_key, plaintext, self._rng)
 
     def fetch_storage_key(self, req: wire.ProvisionRequest) -> bytes:
@@ -322,38 +297,27 @@ class AecsReplica:
 
     def handle_frame(self, frame: bytes) -> bytes:
         """Serve one framed RPC; errors travel back as status codes."""
-        from .errors import AecsError
-
         try:
             if len(frame) < 2 or frame[0] != wire.VERSION:
                 raise AecsError("malformed request frame")
             opcode, body = frame[1], frame[2:]
             if opcode == wire.OP_CREATE:
-                service_id, off = wire._unpack_str(body, 0)
-                measurement = body[off : off + 32]
-                if len(measurement) != 32 or off + 32 != len(body):
-                    raise AecsError("malformed create body")
-                cert = self.create_service_pki(service_id, measurement)
+                cert = self.create_service_pki(*wire.decode_create_body(body))
                 return wire.ok_response(cert.encode())
             if opcode == wire.OP_GET_CERT:
-                service_id, off = wire._unpack_str(body, 0)
-                if off != len(body):
-                    raise AecsError("malformed get body")
-                return wire.ok_response(self.get_certificate(service_id).encode())
+                cert = self.get_certificate(wire.decode_service_id(body))
+                return wire.ok_response(cert.encode())
             if opcode == wire.OP_PROVISION:
                 return wire.ok_response(self.provision_pki(wire.decode_provision_body(body)))
             if opcode == wire.OP_FETCH_KEY:
                 return wire.ok_response(self.fetch_storage_key(wire.decode_provision_body(body)))
             if opcode == wire.OP_DELETE:
-                service_id, off = wire._unpack_str(body, 0)
-                if off != len(body):
-                    raise AecsError("malformed delete body")
-                self.delete_service_pki(service_id)
+                self.delete_service_pki(wire.decode_service_id(body))
                 return wire.ok_response()
             raise AecsError(f"unknown opcode {opcode}")
         except AecsError as exc:
             return wire.error_response(exc)
-        except (ValueError, struct.error, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # generate_pki rejects an empty service id
             return wire.error_response(AecsError(f"malformed request: {exc}"))
 
     def client(self, capture: list[bytes] | None = None) -> wire.AecsClient:
@@ -371,18 +335,19 @@ class AecsReplica:
         return wire.AecsClient(send)
 
 
-def _encode_pki(pki: ServicePki) -> bytes:
-    cert = pki.certificate.encode()
-    return struct.pack(">I", len(cert)) + cert + pki.private_key.private_bytes("provision-encrypt")
+def _read_storage_key(data: bytes, error: type, magic: bytes = b"") -> tuple[bytes, ConfinedSecret]:
+    """`magic | generation(16) | storage key(32)`, as sealed to the local
+    blob (with a magic) or released by a peer (without)."""
+    r = Reader(data, error, "storage-key payload", magic)
+    generation, key = r.take(GENERATION_LEN), ConfinedSecret(r.take(32))
+    r.end()
+    return generation, key
 
 
 def decode_pki(plaintext: bytes) -> ServicePki:
-    """Parse the provisioning payload back into a PKI (inside the enclave)."""
-    from ..channel.certs import ConfinedSigningKey
-
-    (cert_len,) = struct.unpack_from(">I", plaintext, 0)
-    cert = Certificate.decode(plaintext[4 : 4 + cert_len])
-    priv = plaintext[4 + cert_len :]
-    if len(priv) != 32:
-        raise ValueError("malformed PKI payload")
-    return ServicePki(cert, ConfinedSigningKey(priv))
+    """Parse the provisioning payload back into a PKI (inside the enclave);
+    a malformed payload is a ValueError."""
+    r = Reader(plaintext, ValueError, "PKI payload")
+    pki = read_pki(r)
+    r.end()
+    return pki

@@ -1,7 +1,8 @@
 """Untrusted versioned object stores.
 
 The store is availability infrastructure only: everything sensitive that
-lands here is already encrypted. Two backends share one contract:
+lands here is already encrypted. Two backends share one contract, which
+`_VersionedStore` implements for both:
 
   get(name)                    -> (bytes, version)
   put(name, data, expected)    -> new version, or VersionConflict
@@ -30,37 +31,51 @@ class UntrustedStore(Protocol):
     def create_if_absent(self, name: str, data: bytes) -> int: ...
 
 
-class MemoryStore:
-    """In-process store for tests and virtual-clock runs; thread-safe."""
+class _VersionedStore:
+    """The contract, written once over a backend's `_load(name)` (None if
+    absent) and `_save(name, data, version)`, both called under the lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._objects: dict[str, tuple[bytes, int]] = {}
+
+    def _current(self, name: str) -> tuple[bytes, int]:
+        stored = self._load(name)
+        if stored is None:
+            raise ObjectMissing(name)
+        return stored
 
     def get(self, name: str) -> tuple[bytes, int]:
         with self._lock:
-            try:
-                data, version = self._objects[name]
-            except KeyError:
-                raise ObjectMissing(name) from None
-            return data, version
+            return self._current(name)
 
     def put(self, name: str, data: bytes, expected_version: int) -> int:
         with self._lock:
-            if name not in self._objects:
-                raise ObjectMissing(name)
-            _, current = self._objects[name]
+            _, current = self._current(name)
             if current != expected_version:
                 raise VersionConflict(f"{name}: expected v{expected_version}, at v{current}")
-            self._objects[name] = (bytes(data), current + 1)
+            self._save(name, data, current + 1)
             return current + 1
 
     def create_if_absent(self, name: str, data: bytes) -> int:
         with self._lock:
-            if name in self._objects:
+            if self._load(name) is not None:
                 raise ObjectExists(name)
-            self._objects[name] = (bytes(data), 1)
+            self._save(name, data, 1)
             return 1
+
+
+class MemoryStore(_VersionedStore):
+    """In-process store for tests and virtual-clock runs; thread-safe."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._objects: dict[str, tuple[bytes, int]] = {}
+
+    def _load(self, name: str) -> tuple[bytes, int] | None:
+        return self._objects.get(name)
+
+    def _save(self, name: str, data: bytes, version: int) -> None:
+        self._objects[name] = (bytes(data), version)
 
     def dump(self) -> dict[str, bytes]:
         """All stored bytes, for never-plaintext scans."""
@@ -72,7 +87,7 @@ _HEADER = struct.Struct(">8sQ")
 _MAGIC = b"storeob1"
 
 
-class DirectoryStore:
+class DirectoryStore(_VersionedStore):
     """One file per object under a directory; used by CLI runs.
 
     Single-process safety only: writers are serialized by an in-process
@@ -80,56 +95,31 @@ class DirectoryStore:
     """
 
     def __init__(self, root: Path | str) -> None:
+        super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path(self, name: str) -> Path:
         safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)
         return self.root / f"{safe}.obj"
 
-    def _read(self, path: Path) -> tuple[bytes, int]:
+    def _load(self, name: str) -> tuple[bytes, int] | None:
+        path = self._path(name)
+        if not path.exists():
+            return None
         raw = path.read_bytes()
         magic, version = _HEADER.unpack_from(raw)
         if magic != _MAGIC:
             raise ObjectMissing(f"corrupt object file {path}")
         return raw[_HEADER.size :], version
 
-    def _write(self, path: Path, data: bytes, version: int) -> None:
+    def _save(self, name: str, data: bytes, version: int) -> None:
+        path = self._path(name)
         tmp = path.with_suffix(".tmp")
         tmp.write_bytes(_HEADER.pack(_MAGIC, version) + data)
         os.replace(tmp, path)
 
-    def get(self, name: str) -> tuple[bytes, int]:
-        with self._lock:
-            path = self._path(name)
-            if not path.exists():
-                raise ObjectMissing(name)
-            return self._read(path)
-
-    def put(self, name: str, data: bytes, expected_version: int) -> int:
-        with self._lock:
-            path = self._path(name)
-            if not path.exists():
-                raise ObjectMissing(name)
-            _, current = self._read(path)
-            if current != expected_version:
-                raise VersionConflict(f"{name}: expected v{expected_version}, at v{current}")
-            self._write(path, data, current + 1)
-            return current + 1
-
-    def create_if_absent(self, name: str, data: bytes) -> int:
-        with self._lock:
-            path = self._path(name)
-            if path.exists():
-                raise ObjectExists(name)
-            self._write(path, data, 1)
-            return 1
-
     def dump(self) -> dict[str, bytes]:
+        # a file's stem is its object's name with the unsafe characters replaced
         with self._lock:
-            out = {}
-            for path in sorted(self.root.glob("*.obj")):
-                data, _ = self._read(path)
-                out[path.stem] = data
-            return out
+            return {p.stem: self._load(p.stem)[0] for p in sorted(self.root.glob("*.obj"))}

@@ -2,19 +2,22 @@
 
 Request:   0x01 | opcode | body        Response:  0x01 | status | body
 
-Opcodes: 1 CreateServicePki, 2 GetCertificate, 3 ProvisionPki,
-4 FetchStorageKey, 5 DeleteServicePki. Status 0 is success; nonzero maps
-onto the keystore error types below. Strings are u32-length-prefixed
-UTF-8; fixed-width fields are raw.
+Opcodes and request bodies: 1 CreateServicePki (service_id | measurement),
+2 GetCertificate and 5 DeleteServicePki (service_id), 3 ProvisionPki and
+4 FetchStorageKey (service_id | report | temp_public_key); replicas also
+use FetchStorageKey to take the storage key from a serving peer. Strings
+are u32-length-prefixed UTF-8 and fixed-width fields are raw; a malformed
+body is an AecsError (see `codec`). Status 0 is success; nonzero maps onto
+the keystore error types below.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
 from ..channel.certs import Certificate
+from ..codec import Reader, prefixed
 from ..substrate.attest import EnclaveReport
 from . import errors
 
@@ -50,37 +53,14 @@ class ProvisionRequest:
     temp_public_key: bytes
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode()
-    return struct.pack(">I", len(raw)) + raw
+def _text(s: str) -> bytes:
+    return prefixed(s.encode())
 
 
-def _unpack_str(data: bytes, off: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from(">I", data, off)
-    off += 4
-    return data[off : off + length].decode(), off + length
-
-
-def _pack_report(report: EnclaveReport) -> bytes:
-    return (
-        report.measurement
-        + _pack_str(report.node_id)
-        + report.report_data
-        + report.platform_tag
-    )
-
-
-def _unpack_report(data: bytes, off: int) -> tuple[EnclaveReport, int]:
-    measurement = data[off : off + 32]
-    off += 32
-    node_id, off = _unpack_str(data, off)
-    report_data = data[off : off + 32]
-    off += 32
-    platform_tag = data[off : off + 32]
-    off += 32
-    if len(platform_tag) != 32:
-        raise ValueError("truncated report")
-    return EnclaveReport(measurement, node_id, report_data, platform_tag), off
+def _provision_body(req: ProvisionRequest) -> bytes:
+    report = req.enclave_report
+    head = _text(req.service_id) + report.measurement + _text(report.node_id)
+    return head + report.report_data + report.platform_tag + req.temp_public_key
 
 
 def encode_request(opcode: int, body: bytes) -> bytes:
@@ -88,34 +68,49 @@ def encode_request(opcode: int, body: bytes) -> bytes:
 
 
 def encode_create(service_id: str, measurement: bytes) -> bytes:
-    return encode_request(OP_CREATE, _pack_str(service_id) + measurement)
+    return encode_request(OP_CREATE, _text(service_id) + measurement)
 
 
 def encode_get_cert(service_id: str) -> bytes:
-    return encode_request(OP_GET_CERT, _pack_str(service_id))
+    return encode_request(OP_GET_CERT, _text(service_id))
 
 
 def encode_provision(req: ProvisionRequest) -> bytes:
-    body = _pack_str(req.service_id) + _pack_report(req.enclave_report) + req.temp_public_key
-    return encode_request(OP_PROVISION, body)
+    return encode_request(OP_PROVISION, _provision_body(req))
 
 
 def encode_fetch_key(req: ProvisionRequest) -> bytes:
-    body = _pack_str(req.service_id) + _pack_report(req.enclave_report) + req.temp_public_key
-    return encode_request(OP_FETCH_KEY, body)
+    return encode_request(OP_FETCH_KEY, _provision_body(req))
 
 
 def encode_delete(service_id: str) -> bytes:
-    return encode_request(OP_DELETE, _pack_str(service_id))
+    return encode_request(OP_DELETE, _text(service_id))
+
+
+def decode_service_id(body: bytes) -> str:
+    """The body of GetCertificate and DeleteServicePki."""
+    r = Reader(body, errors.AecsError, "request body")
+    service_id = r.text()
+    r.end()
+    return service_id
+
+
+def decode_create_body(body: bytes) -> tuple[str, bytes]:
+    """(service id, code measurement)."""
+    r = Reader(body, errors.AecsError, "create body")
+    service_id, measurement = r.text(), r.take(32)
+    r.end()
+    return service_id, measurement
 
 
 def decode_provision_body(body: bytes) -> ProvisionRequest:
-    service_id, off = _unpack_str(body, 0)
-    report, off = _unpack_report(body, off)
-    temp_pub = body[off : off + 32]
-    if len(temp_pub) != 32 or off + 32 != len(body):
-        raise ValueError("malformed provision body")
-    return ProvisionRequest(service_id, report, temp_pub)
+    """The body of ProvisionPki and FetchStorageKey."""
+    r = Reader(body, errors.AecsError, "provision body")
+    service_id = r.text()
+    report = EnclaveReport(r.take(32), r.text(), r.take(32), r.take(32))
+    request = ProvisionRequest(service_id, report, r.take(32))
+    r.end()
+    return request
 
 
 def ok_response(body: bytes = b"") -> bytes:

@@ -20,10 +20,12 @@ from functools import cached_property
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .. import crypto
+from ..codec import Reader, prefixed
 from ..confine import ConfinedSecret
 from .errors import HandshakeFailure
 
 _MAGIC = b"cert-v1"
+_VALIDITY = struct.Struct(">dd")
 SIGNATURE_LEN = 64
 DEFAULT_VALIDITY_SECONDS = 7 * 86400.0
 # Signed only to derive the ticket key: no certificate body (cert-v1...) or
@@ -51,32 +53,19 @@ class Certificate:
 
     @classmethod
     def decode(cls, data: bytes) -> "Certificate":
-        try:
-            if data[: len(_MAGIC)] != _MAGIC:
-                raise ValueError("bad magic")
-            off = len(_MAGIC)
-            (subject_len,) = struct.unpack_from(">I", data, off)
-            off += 4
-            subject = data[off : off + subject_len].decode()
-            off += subject_len
-            public_key = data[off : off + 32]
-            off += 32
-            not_before, not_after = struct.unpack_from(">dd", data, off)
-            off += 16
-            signature = data[off : off + SIGNATURE_LEN]
-            if len(signature) != SIGNATURE_LEN or len(public_key) != 32 or not subject:
-                raise ValueError("truncated certificate")
-            if off + SIGNATURE_LEN != len(data):
-                raise ValueError("trailing bytes")
-            return cls(subject, public_key, not_before, not_after, signature)
-        except (ValueError, struct.error, UnicodeDecodeError) as exc:
-            raise HandshakeFailure(f"malformed certificate: {exc}") from exc
+        r = Reader(data, HandshakeFailure, "certificate", _MAGIC)
+        subject, public_key = r.text(), r.take(32)
+        not_before, not_after = r.unpack(_VALIDITY)
+        signature = r.take(SIGNATURE_LEN)
+        r.end()
+        if not subject:
+            raise r.fail("empty subject")
+        return cls(subject, public_key, not_before, not_after, signature)
 
 
 def _signed_body(subject: str, public_key: bytes, not_before: float, not_after: float) -> bytes:
-    sub = subject.encode()
     return b"".join(
-        (_MAGIC, struct.pack(">I", len(sub)), sub, public_key, struct.pack(">dd", not_before, not_after))
+        (_MAGIC, prefixed(subject.encode()), public_key, _VALIDITY.pack(not_before, not_after))
     )
 
 
@@ -138,12 +127,5 @@ def generate_pki(
     if not subject:
         raise ValueError("subject must be non-empty")
     key = ConfinedSigningKey.generate(rng)
-    body = _signed_body(subject, key.public_bytes(), now, now + DEFAULT_VALIDITY_SECONDS)
-    cert = Certificate(
-        subject=subject,
-        public_key=key.public_bytes(),
-        not_before=now,
-        not_after=now + DEFAULT_VALIDITY_SECONDS,
-        self_signature=key.sign(body),
-    )
-    return ServicePki(cert, key)
+    fields = (subject, key.public_bytes(), now, now + DEFAULT_VALIDITY_SECONDS)
+    return ServicePki(Certificate(*fields, self_signature=key.sign(_signed_body(*fields))), key)

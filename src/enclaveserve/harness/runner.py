@@ -124,6 +124,7 @@ class ClusterRunner:
         # each node's last successful telemetry sample
         self._last_sample: dict[str, EpcSample] = {}
         self.telemetry_gaps = 0
+        self._ticked = False
         # the client's resumption tickets, and how each request's handshake went
         self.tickets = TicketCache()
         self.handshakes_full = 0
@@ -233,8 +234,10 @@ class ClusterRunner:
             observations[node.node_id] = observation_from_samples(previous, sample)
             self._last_sample[node.node_id] = sample
 
-        if self.controller is not None:
+        # the first tick has no earlier sample, so there is nothing to decide
+        if self.controller is not None and self._ticked:
             self.controller.step(observations, now)
+        self._ticked = True
 
         in_service_utils: list[float] = []
         for endpoint in self.vs.endpoints():

@@ -290,11 +290,16 @@ def _value(tp, value, where: str):
         return tuple(_value(args[0], item, f"{where}[]") for item in value)
     if args:
         return tuple(_value(a, v, where) for a, v in zip(args, value, strict=True))
-    if tp is bool and not isinstance(value, bool):
-        raise ConfigInvalid(f"{where} must be true or false")  # bool("false") is True
+    if tp is str:
+        return str(value)
+    # YAML has typed the scalar already: a bool field takes a bool, an int
+    # field an int, and a float field an int or a float (a bool is no number)
+    takes = (int, float) if tp is float else tp
+    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, takes):
+        raise ConfigInvalid(f"{where} must be of type {tp.__name__}, not {value!r}")
     try:
         return tp(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(.inf) overflows
+    except OverflowError as exc:  # an int past the range of a float
         raise ConfigInvalid(f"{where}: {exc}") from exc
 
 

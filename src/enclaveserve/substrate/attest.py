@@ -8,10 +8,10 @@ the PKI machinery behind real quotes is not reproduced.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from .. import crypto
+from ..codec import prefixed
 from .errors import MeasurementMismatch, PlatformTagInvalid, UnknownPlatform
 
 MEASUREMENT_LEN = 32
@@ -30,10 +30,7 @@ class EnclaveReport:
 
 
 def report_body(measurement: bytes, node_id: str, report_data: bytes) -> bytes:
-    nid = node_id.encode()
-    return b"".join(
-        (b"report-v1", measurement, struct.pack(">I", len(nid)), nid, report_data)
-    )
+    return b"".join((b"report-v1", measurement, prefixed(node_id.encode()), report_data))
 
 
 def make_report(

@@ -7,12 +7,13 @@ running the same code.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from .. import crypto
+from ..codec import Reader, prefixed
 from .errors import UnsealFailure
 
+_MAGIC = b"sealed-v1"
 _SEAL_INFO = b"enclaveserve seal v1"
 
 
@@ -25,37 +26,16 @@ class SealedBlob:
     auth_tag: bytes
 
     def encode(self) -> bytes:
-        nid = self.node_id.encode()
-        parts = [b"sealed-v1", struct.pack(">I", len(nid)), nid, self.measurement, self.nonce]
-        parts.append(struct.pack(">I", len(self.ciphertext)))
-        parts.append(self.ciphertext)
-        parts.append(self.auth_tag)
-        return b"".join(parts)
+        nid, ciphertext = prefixed(self.node_id.encode()), prefixed(self.ciphertext)
+        return b"".join((_MAGIC, nid, self.measurement, self.nonce, ciphertext, self.auth_tag))
 
     @classmethod
     def decode(cls, data: bytes) -> "SealedBlob":
-        try:
-            if data[:9] != b"sealed-v1":
-                raise ValueError("bad magic")
-            off = 9
-            (nid_len,) = struct.unpack_from(">I", data, off)
-            off += 4
-            node_id = data[off : off + nid_len].decode()
-            off += nid_len
-            measurement = data[off : off + 32]
-            off += 32
-            nonce = data[off : off + crypto.NONCE_LEN]
-            off += crypto.NONCE_LEN
-            (ct_len,) = struct.unpack_from(">I", data, off)
-            off += 4
-            ciphertext = data[off : off + ct_len]
-            off += ct_len
-            auth_tag = data[off : off + crypto.TAG_LEN]
-            if len(auth_tag) != crypto.TAG_LEN or len(measurement) != 32:
-                raise ValueError("truncated blob")
-            return cls(node_id, measurement, nonce, ciphertext, auth_tag)
-        except (ValueError, struct.error, UnicodeDecodeError) as exc:
-            raise UnsealFailure(f"malformed sealed blob: {exc}") from exc
+        r = Reader(data, UnsealFailure, "sealed blob", _MAGIC)
+        node_id, measurement, nonce = r.text(), r.take(32), r.take(crypto.NONCE_LEN)
+        blob = cls(node_id, measurement, nonce, r.prefixed(), r.take(crypto.TAG_LEN))
+        r.end()
+        return blob
 
 
 def derive_seal_key(root_seal_key: bytes, measurement: bytes) -> bytes:

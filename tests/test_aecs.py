@@ -249,6 +249,24 @@ def test_stale_generation_blob_rejected(cluster, tmp_path):
     assert follower._storage_key.reveal("audit") == leader._storage_key.reveal("audit")
 
 
+def test_peer_fetch_is_one_fetch_storage_key_rpc(cluster, tmp_path, monkeypatch):
+    _, deployment, enclaves = cluster
+    leader = make_replica(deployment, enclaves[0], tmp_path, 0)
+    leader.bootstrap()
+    opcodes = []
+
+    def handle_frame(frame, handle_frame=leader.handle_frame):
+        opcodes.append(frame[1])
+        return handle_frame(frame)
+
+    monkeypatch.setattr(leader, "handle_frame", handle_frame)
+    follower = make_replica(deployment, enclaves[1], tmp_path, 1)
+    follower.bootstrap()
+    assert opcodes == [wire.OP_FETCH_KEY]
+    assert deployment.ra_fetch_calls == 1
+    assert follower._storage_key == leader._storage_key
+
+
 def test_bootstrap_timeout_without_any_source(substrate, tmp_path):
     store = MemoryStore()
     store.create_if_absent(LEADER_OBJECT, b"g" * 16)  # election already lost

@@ -271,6 +271,21 @@ def _with(path, value):
 NUMBER_PATHS = list(_number_paths(FULL))
 
 
+def _at(path):
+    value = FULL
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _not_numbers(path):
+    """Values the field's type cannot take: a fraction for an int, an int
+    past the range of a float for a float, and a quoted number or a boolean
+    for either. YAML typed them, so none of them is coerced."""
+    wrong = 2.5 if isinstance(_at(path), int) else 10**400
+    return [wrong, str(_at(path)), True]
+
+
 def test_full_scenario_sets_every_number_field():
     from_dict(FULL)
     names = {key for path in NUMBER_PATHS for key in path if isinstance(key, str)}
@@ -291,6 +306,11 @@ def test_full_scenario_sets_every_number_field():
     + [
         pytest.param(("cluster", "t_ref_pages_per_s"), value, id=f"t_ref={value}")
         for value in (0.0, -1.0)
+    ]
+    + [
+        pytest.param(path, value, id=f"{'.'.join(map(str, path))}={value!r:.8}")
+        for path in NUMBER_PATHS
+        for value in _not_numbers(path)
     ],
 )
 def test_non_finite_numbers_and_bad_t_ref_are_rejected_naming_the_field(path, value):
@@ -672,8 +692,14 @@ def test_first_observation_after_a_telemetry_gap_spans_back_to_the_last_sample(m
     assert by_time[5.0].throughput == paging_throughput([before, after])
     assert by_time[5.0].throughput > 0
     assert runner.telemetry_gaps == 2
-    # the first tick has no earlier sample, so it misses a cycle too
-    assert runner.controller.missing_cycles == 1 + 2
+    assert runner.controller.missing_cycles == 2
+
+
+def test_a_virtual_run_without_telemetry_gaps_misses_no_control_cycle():
+    runner = VirtualRunner(small_scenario(algorithm="sgx_aware", interference="high"))
+    runner.run()
+    assert runner.telemetry_gaps == 0
+    assert runner.controller is not None and runner.controller.missing_cycles == 0
 
 
 def test_one_full_handshake_then_resumption_on_the_virtual_clock():

@@ -108,9 +108,9 @@ class DirectoryStore(_VersionedStore):
         if not path.exists():
             return None
         raw = path.read_bytes()
-        magic, version = _HEADER.unpack_from(raw)
-        if magic != _MAGIC:
+        if len(raw) < _HEADER.size or not raw.startswith(_MAGIC):
             raise ObjectMissing(f"corrupt object file {path}")
+        _, version = _HEADER.unpack_from(raw)
         return raw[_HEADER.size :], version
 
     def _save(self, name: str, data: bytes, version: int) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..channel.certs import Certificate
+from ..channel.errors import HandshakeFailure
 from ..codec import Reader, prefixed
 from ..substrate.attest import EnclaveReport
 from . import errors
@@ -134,6 +135,14 @@ def raise_for_response(frame: bytes) -> bytes:
     raise exc_type(body.decode(errors="replace"))
 
 
+def _certificate(body: bytes) -> Certificate:
+    """The certificate a success response carries; a malformed one is the keystore's error."""
+    try:
+        return Certificate.decode(body)
+    except HandshakeFailure as exc:
+        raise errors.AecsError(f"malformed certificate response: {exc}") from exc
+
+
 class AecsClient:
     """Client stub over any frame carrier (a callable taking request bytes
     and returning response bytes)."""
@@ -142,12 +151,10 @@ class AecsClient:
         self._send = send
 
     def create_service_pki(self, service_id: str, measurement: bytes) -> Certificate:
-        body = raise_for_response(self._send(encode_create(service_id, measurement)))
-        return Certificate.decode(body)
+        return _certificate(raise_for_response(self._send(encode_create(service_id, measurement))))
 
     def get_certificate(self, service_id: str) -> Certificate:
-        body = raise_for_response(self._send(encode_get_cert(service_id)))
-        return Certificate.decode(body)
+        return _certificate(raise_for_response(self._send(encode_get_cert(service_id))))
 
     def provision_pki(self, req: ProvisionRequest) -> bytes:
         return raise_for_response(self._send(encode_provision(req)))

@@ -39,7 +39,10 @@ ServerHello's magic, random and share. The fresh X25519 exchange keeps
 resumed sessions forward secret; the plain-PSK mode (``psk_ke``) is not
 offered. A full handshake also yields the PSK its ticket carries. Each
 session's transcript hash covers both complete hellos and is bound into
-the client's Finished MAC and every record.
+the client's Finished MAC and every record. `_schedule` makes the exchange
+and the HKDF for all four roles. A low-order peer share, whose exchange
+gives the all-zero secret, aborts the handshake (RFC 7748 §6.1, RFC 8446
+§7.4.2): it, like any malformed flight, raises `HandshakeFailure`.
 
 Tickets are ``tkt1 | nonce(12) | AES-GCM(ticket_key, psk)``, sealed under
 the ``ServicePki``'s ticket key, which every replica of a service derives
@@ -59,10 +62,11 @@ import struct
 import threading
 from typing import NamedTuple
 
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 from .. import crypto
-from .certs import Certificate, ServicePki
+from ..codec import Reader, prefixed
+from .certs import SIGNATURE_LEN, Certificate, ServicePki
 from .errors import CertificateMismatch, HandshakeFailure, SignatureInvalid
 from .record import Session
 from .transport import FrameTransport
@@ -82,6 +86,7 @@ _KEYS_INFO = b"enclaveserve session keys v2"
 _SHARE_END = 4 + 32 + 32
 _SHARE = slice(_SHARE_END - 32, _SHARE_END)
 _MAC_LEN = 32
+_U16 = struct.Struct(">H")
 _TICKET_LEN = len(_TICKET_MAGIC) + crypto.NONCE_LEN + crypto.KEY_LEN + crypto.TAG_LEN
 
 
@@ -117,16 +122,35 @@ def _within_validity(cert: Certificate, now: float | None) -> bool:
     return now is None or cert.not_before <= now <= cert.not_after
 
 
-def _derive(secret: bytes, salt: bytes) -> tuple[bytes, bytes, bytes, bytes]:
-    """client-to-server key, server-to-client key, client finished key, and
-    the fourth key: the resumption PSK (full) or server finished key (resumed)."""
-    okm = crypto.hkdf(secret, salt=salt, info=_KEYS_INFO, length=4 * crypto.KEY_LEN)
+def _schedule(
+    eph: X25519PrivateKey, peer_share: bytes, psk: bytes, client_hello: bytes, server_share: bytes
+) -> tuple[bytes, bytes, bytes, bytes, bytes]:
+    """The key schedule of every handshake role: client-to-server key,
+    server-to-client key, client finished key, the fourth key (the
+    resumption PSK in a full handshake, the server finished key in a resumed
+    one) and the salt. `psk` is empty in a full handshake."""
+    try:
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(peer_share))
+    except ValueError as exc:  # a low-order share gives the all-zero secret
+        raise HandshakeFailure(f"unacceptable X25519 share: {exc}") from exc
+    salt = crypto.sha256(client_hello + server_share)
+    okm = crypto.hkdf(psk + shared, salt=salt, info=_KEYS_INFO, length=4 * crypto.KEY_LEN)
     k = crypto.KEY_LEN
-    return okm[:k], okm[k : 2 * k], okm[2 * k : 3 * k], okm[3 * k :]
+    return okm[:k], okm[k : 2 * k], okm[2 * k : 3 * k], okm[3 * k :], salt
 
 
-def _finished_mac(key: bytes, transcript_hash: bytes) -> bytes:
-    return _FINISHED_MAGIC + crypto.hmac_sha256(key, _FINISHED_CONTEXT + transcript_hash)
+def _session(
+    client_hello: bytes, server_hello: bytes, send_key: bytes, recv_key: bytes, resumed: bool
+) -> Session:
+    return Session(send_key, recv_key, crypto.sha256(client_hello + server_hello), resumed=resumed)
+
+
+def _finished_mac(key: bytes, session: Session) -> bytes:
+    return _FINISHED_MAGIC + crypto.hmac_sha256(key, _FINISHED_CONTEXT + session.transcript_hash)
+
+
+def _server_finished_mac(key: bytes, salt: bytes) -> bytes:
+    return crypto.hmac_sha256(key, _SERVER_FINISHED_CONTEXT + salt)
 
 
 class ClientHandshake:
@@ -150,7 +174,7 @@ class ClientHandshake:
     def hello(self) -> bytes:
         hello = _CLIENT_MAGIC + self._random + crypto.exchange_public_bytes(self._eph.public_key())
         if self._offer is not None:
-            hello += struct.pack(">H", len(self._offer.ticket)) + self._offer.ticket
+            hello += _U16.pack(len(self._offer.ticket)) + self._offer.ticket
             hello += crypto.hmac_sha256(self._offer.psk, _BINDER_CONTEXT + hello)
         self._hello = hello
         return hello
@@ -159,49 +183,35 @@ class ClientHandshake:
         """Verify the server flight; returns the Finished message to send."""
         if self._hello is None:
             raise HandshakeFailure("finish() before hello()")
-        if server_hello.startswith(_RESUMED_MAGIC):
-            return self._finish_resumed(server_hello)
-        server_eph, cert_bytes, ticket, signature, prefix = _parse_server_hello(server_hello)
-        if cert_bytes != self._expected.encode():
-            raise CertificateMismatch("server certificate differs from the expected certificate")
-        if not _within_validity(self._expected, self._now):
-            raise HandshakeFailure("certificate outside its validity window")
-        sig_input = _SIG_CONTEXT + crypto.sha256(self._hello + prefix)
-        if not crypto.verify_signature(self._expected.public_key, signature, sig_input):
-            raise SignatureInvalid("transcript signature does not verify")
-        shared = self._exchange(server_eph)
-        c2s, s2c, finished_key, psk = _derive(
-            shared, crypto.sha256(self._hello + server_hello[:_SHARE_END])
+        resumed = server_hello.startswith(_RESUMED_MAGIC)
+        if resumed:
+            if self._offer is None:
+                raise HandshakeFailure("server resumed a session the client did not offer")
+            if len(server_hello) != _SHARE_END + _MAC_LEN:
+                raise HandshakeFailure("malformed resumed server hello")
+            psk = self._offer.psk
+        else:
+            cert_bytes, ticket, signature = _parse_server_hello(server_hello)
+            if cert_bytes != self._expected.encode():
+                raise CertificateMismatch("server certificate differs from the expected one")
+            if not _within_validity(self._expected, self._now):
+                raise HandshakeFailure("certificate outside its validity window")
+            sig_input = _SIG_CONTEXT + crypto.sha256(self._hello + server_hello[:-SIGNATURE_LEN])
+            if not crypto.verify_signature(self._expected.public_key, signature, sig_input):
+                raise SignatureInvalid("transcript signature does not verify")
+            psk = b""
+        server_share = server_hello[:_SHARE_END]
+        c2s, s2c, finished_key, fourth, salt = _schedule(
+            self._eph, server_share[_SHARE], psk, self._hello, server_share
         )
-        if self._tickets is not None:
-            self._tickets.store(self._expected, Ticket(ticket, psk))
-        return self._complete(server_hello, c2s, s2c, finished_key, resumed=False)
-
-    def _finish_resumed(self, server_hello: bytes) -> bytes:
-        if self._offer is None:
-            raise HandshakeFailure("server resumed a session the client did not offer")
-        if len(server_hello) != _SHARE_END + _MAC_LEN:
-            raise HandshakeFailure("malformed resumed server hello")
-        shared = self._exchange(server_hello[_SHARE])
-        salt = crypto.sha256(self._hello + server_hello[:_SHARE_END])
-        c2s, s2c, finished_key, server_finished_key = _derive(self._offer.psk + shared, salt)
-        expected = crypto.hmac_sha256(server_finished_key, _SERVER_FINISHED_CONTEXT + salt)
-        if not hmac.compare_digest(server_hello[_SHARE_END:], expected):
-            raise HandshakeFailure("server finished MAC mismatch")
-        return self._complete(server_hello, c2s, s2c, finished_key, resumed=True)
-
-    def _exchange(self, server_eph: bytes) -> bytes:
-        return self._eph.exchange(X25519PublicKey.from_public_bytes(server_eph))
-
-    def _complete(
-        self, server_hello: bytes, c2s: bytes, s2c: bytes, finished_key: bytes, *, resumed: bool
-    ) -> bytes:
-        assert self._hello is not None
-        transcript_hash = crypto.sha256(self._hello + server_hello)
-        self._session = Session(
-            send_key=c2s, recv_key=s2c, transcript_hash=transcript_hash, resumed=resumed
-        )
-        return _finished_mac(finished_key, transcript_hash)
+        if resumed:
+            expected = _server_finished_mac(fourth, salt)
+            if not hmac.compare_digest(server_hello[_SHARE_END:], expected):
+                raise HandshakeFailure("server finished MAC mismatch")
+        elif self._tickets is not None:
+            self._tickets.store(self._expected, Ticket(ticket, fourth))
+        self._session = _session(self._hello, server_hello, c2s, s2c, resumed)
+        return _finished_mac(finished_key, self._session)
 
     def session(self) -> Session:
         if self._session is None:
@@ -216,57 +226,34 @@ class ServerHandshake:
         self._now = now
         self._eph = crypto.new_exchange_key(rng)
         self._random = rng.randbytes(32)
-        self._finished_key: bytes | None = None
-        self._transcript_hash: bytes | None = None
+        # (session, client finished key) once respond() has answered
+        self._pending: tuple[Session, bytes] | None = None
         self._session: Session | None = None
-        self._complete = False
 
     def respond(self, client_hello: bytes) -> bytes:
-        client_eph, offer = _parse_client_hello(client_hello)
-        shared = self._eph.exchange(X25519PublicKey.from_public_bytes(client_eph))
-        psk = self._open_ticket(offer[0]) if offer is not None else None
-        if psk is None:
-            return self._respond_full(client_hello, shared)
-        binder = crypto.hmac_sha256(psk, _BINDER_CONTEXT + client_hello[: -_MAC_LEN])
-        if not hmac.compare_digest(offer[1], binder):
-            raise HandshakeFailure("resumption binder mismatch")
-        server_share = _RESUMED_MAGIC + self._random + self._share()
-        salt = crypto.sha256(client_hello + server_share)
-        c2s, s2c, self._finished_key, server_finished_key = _derive(psk + shared, salt)
-        server_hello = server_share + crypto.hmac_sha256(
-            server_finished_key, _SERVER_FINISHED_CONTEXT + salt
+        client_share, offer = _parse_client_hello(client_hello)
+        psk = self._open_ticket(offer[0]) if offer is not None else b""
+        resumed = bool(psk)
+        if resumed:
+            binder = crypto.hmac_sha256(psk, _BINDER_CONTEXT + client_hello[:-_MAC_LEN])
+            if not hmac.compare_digest(offer[1], binder):
+                raise HandshakeFailure("resumption binder mismatch")
+        magic = _RESUMED_MAGIC if resumed else _SERVER_MAGIC
+        server_share = magic + self._random + crypto.exchange_public_bytes(self._eph.public_key())
+        c2s, s2c, finished_key, fourth, salt = _schedule(
+            self._eph, client_share, psk, client_hello, server_share
         )
-        return self._keys_ready(client_hello, server_hello, c2s, s2c, resumed=True)
-
-    def _respond_full(self, client_hello: bytes, shared: bytes) -> bytes:
-        server_share = _SERVER_MAGIC + self._random + self._share()
-        c2s, s2c, self._finished_key, psk = _derive(
-            shared, crypto.sha256(client_hello + server_share)
-        )
-        cert_bytes = self._pki.certificate.encode()
-        ticket = self._seal_ticket(psk)
-        prefix = (
-            server_share
-            + struct.pack(">I", len(cert_bytes))
-            + cert_bytes
-            + struct.pack(">H", len(ticket))
-            + ticket
-        )
-        signature = self._pki.private_key.sign(
-            _SIG_CONTEXT + crypto.sha256(client_hello + prefix)
-        )
-        return self._keys_ready(client_hello, prefix + signature, c2s, s2c, resumed=False)
-
-    def _share(self) -> bytes:
-        return crypto.exchange_public_bytes(self._eph.public_key())
-
-    def _keys_ready(
-        self, client_hello: bytes, server_hello: bytes, c2s: bytes, s2c: bytes, *, resumed: bool
-    ) -> bytes:
-        self._transcript_hash = crypto.sha256(client_hello + server_hello)
-        self._session = Session(
-            send_key=s2c, recv_key=c2s, transcript_hash=self._transcript_hash, resumed=resumed
-        )
+        if resumed:
+            server_hello = server_share + _server_finished_mac(fourth, salt)
+        else:
+            ticket = self._seal_ticket(fourth)
+            cert = prefixed(self._pki.certificate.encode())
+            signed = server_share + cert + _U16.pack(len(ticket)) + ticket
+            signature = self._pki.private_key.sign(
+                _SIG_CONTEXT + crypto.sha256(client_hello + signed)
+            )
+            server_hello = signed + signature
+        self._pending = (_session(client_hello, server_hello, s2c, c2s, resumed), finished_key)
         return server_hello
 
     def _seal_ticket(self, psk: bytes) -> bytes:
@@ -274,33 +261,28 @@ class ServerHandshake:
         sealed = crypto.aead_encrypt(self._pki.ticket_key, nonce, psk, aad=_TICKET_MAGIC)
         return _TICKET_MAGIC + nonce + sealed
 
-    def _open_ticket(self, ticket: bytes) -> bytes | None:
-        """The ticket's PSK, or None when this server must not resume it."""
-        if len(ticket) != _TICKET_LEN or not ticket.startswith(_TICKET_MAGIC):
-            return None
-        if not _within_validity(self._pki.certificate, self._now):
-            return None
+    def _open_ticket(self, ticket: bytes) -> bytes:
+        """The ticket's PSK, or b"" (no PSK) when this server must not resume it."""
+        resumable = _within_validity(self._pki.certificate, self._now)
+        if not resumable or len(ticket) != _TICKET_LEN or not ticket.startswith(_TICKET_MAGIC):
+            return b""
         nonce_end = len(_TICKET_MAGIC) + crypto.NONCE_LEN
+        nonce, sealed = ticket[len(_TICKET_MAGIC) : nonce_end], ticket[nonce_end:]
         try:
-            return crypto.aead_decrypt(
-                self._pki.ticket_key,
-                ticket[len(_TICKET_MAGIC) : nonce_end],
-                ticket[nonce_end:],
-                aad=_TICKET_MAGIC,
-            )
+            return crypto.aead_decrypt(self._pki.ticket_key, nonce, sealed, aad=_TICKET_MAGIC)
         except crypto.DecryptionError:
-            return None
+            return b""
 
     def complete(self, client_finished: bytes) -> None:
-        if self._finished_key is None or self._transcript_hash is None:
+        if self._pending is None:
             raise HandshakeFailure("complete() before respond()")
-        expected = _finished_mac(self._finished_key, self._transcript_hash)
-        if not hmac.compare_digest(client_finished, expected):
+        session, finished_key = self._pending
+        if not hmac.compare_digest(client_finished, _finished_mac(finished_key, session)):
             raise HandshakeFailure("finished MAC mismatch: peer derived different keys")
-        self._complete = True
+        self._session = session
 
     def session(self) -> Session:
-        if not self._complete or self._session is None:
+        if self._session is None:
             raise HandshakeFailure("handshake not complete")
         return self._session
 
@@ -314,31 +296,23 @@ def _parse_client_hello(data: bytes) -> tuple[bytes, tuple[bytes, bytes] | None]
         return client_eph, None
     if len(data) < _SHARE_END + 2:
         raise HandshakeFailure("malformed client hello")
-    (ticket_len,) = struct.unpack_from(">H", data, _SHARE_END)
+    (ticket_len,) = _U16.unpack_from(data, _SHARE_END)
     ticket_end = _SHARE_END + 2 + ticket_len
     if len(data) != ticket_end + _MAC_LEN:
         raise HandshakeFailure("malformed client hello: ticket and binder")
     return client_eph, (data[_SHARE_END + 2 : ticket_end], data[ticket_end:])
 
 
-def _parse_server_hello(data: bytes) -> tuple[bytes, bytes, bytes, bytes, bytes]:
-    """Returns (server_ephemeral, cert_bytes, ticket, signature, signed_prefix)."""
-    try:
-        if not data.startswith(_SERVER_MAGIC):
-            raise ValueError("bad magic")
-        server_eph = data[_SHARE]
-        (cert_len,) = struct.unpack_from(">I", data, _SHARE_END)
-        cert_start = _SHARE_END + 4
-        cert_bytes = data[cert_start : cert_start + cert_len]
-        (ticket_len,) = struct.unpack_from(">H", data, cert_start + cert_len)
-        ticket_start = cert_start + cert_len + 2
-        ticket = data[ticket_start : ticket_start + ticket_len]
-        signature = data[ticket_start + ticket_len :]
-        if len(cert_bytes) != cert_len or len(ticket) != ticket_len or len(signature) != 64:
-            raise ValueError("truncated server hello")
-        return server_eph, cert_bytes, ticket, signature, data[: ticket_start + ticket_len]
-    except (ValueError, struct.error) as exc:
-        raise HandshakeFailure(f"malformed server hello: {exc}") from exc
+def _parse_server_hello(data: bytes) -> tuple[bytes, bytes, bytes]:
+    """Returns (cert_bytes, ticket, signature) of a full ServerHello."""
+    r = Reader(data, HandshakeFailure, "server hello", _SERVER_MAGIC)
+    r.take(_SHARE_END - len(_SERVER_MAGIC))
+    cert_bytes = r.prefixed()
+    (ticket_len,) = r.unpack(_U16)
+    ticket = r.take(ticket_len)
+    signature = r.take(SIGNATURE_LEN)
+    r.end()
+    return cert_bytes, ticket, signature
 
 
 def client_handshake(

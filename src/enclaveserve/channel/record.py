@@ -8,11 +8,13 @@ altered. Receivers demand exactly the next sequence number: a smaller
 one is a replay, a larger one means the stream lost or reordered records,
 which is treated as tampering.
 
-`seal_record` and `open_record` return bytes, or, given a writable buffer
-`out`, write the record (or the plaintext) to the start of `out` and
-return a memoryview of those bytes. The caller owns `out`: the view is
-valid until the caller writes to `out` again, so anything that must
-outlive that (a traffic capture, say) takes a `bytes` copy.
+Both clocks call the one body of `seal_record` and of `open_record`. Given
+a writable buffer `out`, as on the virtual clock, they write the record (or
+the plaintext) to the start of `out` and return a memoryview of those
+bytes. The caller owns `out`: the view is valid until the caller writes to
+`out` again, so anything that must outlive that (a traffic capture, say)
+takes a `bytes` copy. Without `out` they return a new exact-size
+`bytearray`. A received record is read through a memoryview, not copied.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ def _aad(session: Session, seq: int) -> bytes:
     return _AAD.pack(b"record", seq) + session.transcript_hash
 
 
-def _prefix(out, size: int) -> memoryview:
+def _buffer(out, size: int) -> memoryview:
+    """The first `size` bytes of `out`, or all of a new `bytearray` (the view's `obj`)."""
+    if out is None:
+        return memoryview(bytearray(size))
     if len(out) < size:
         raise ValueError(f"out holds {len(out)} bytes, {size} needed")
     return memoryview(out)[:size]
@@ -60,17 +65,13 @@ def _prefix(out, size: int) -> memoryview:
 
 def seal_record(session: Session, plaintext, out=None):
     seq = session.send_seq
-    aead = AESGCM(session.send_key)
-    if out is None:
-        record = _HEADER.pack(_MAGIC, seq) + aead.encrypt(
-            _NONCE.pack(seq), plaintext, _aad(session, seq)
-        )
-    else:
-        record = _prefix(out, len(plaintext) + RECORD_OVERHEAD)
-        _HEADER.pack_into(record, 0, _MAGIC, seq)
-        aead.encrypt_into(_NONCE.pack(seq), plaintext, _aad(session, seq), record[_HEADER.size :])
+    record = _buffer(out, len(plaintext) + RECORD_OVERHEAD)
+    _HEADER.pack_into(record, 0, _MAGIC, seq)
+    AESGCM(session.send_key).encrypt_into(
+        _NONCE.pack(seq), plaintext, _aad(session, seq), record[_HEADER.size :]
+    )
     session.send_seq = seq + 1
-    return record
+    return record if out is not None else record.obj
 
 
 def open_record(session: Session, record, out=None):
@@ -81,18 +82,13 @@ def open_record(session: Session, record, out=None):
         raise ReplayDetected(f"record seq {seq} already consumed")
     if seq > session.recv_seq:
         raise RecordTampered(f"sequence gap: expected {session.recv_seq}, got {seq}")
-    aead = AESGCM(session.recv_key)
-    nonce, aad, body = _NONCE.pack(seq), _aad(session, seq), record[_HEADER.size :]
-    plaintext = None if out is None else _prefix(out, len(record) - RECORD_OVERHEAD)
+    plaintext = _buffer(out, len(record) - RECORD_OVERHEAD)
+    body = memoryview(record)[_HEADER.size :]
     try:
-        if plaintext is None:
-            plaintext = aead.decrypt(nonce, body, aad)
-        else:
-            aead.decrypt_into(nonce, body, aad, plaintext)
+        AESGCM(session.recv_key).decrypt_into(_NONCE.pack(seq), body, _aad(session, seq), plaintext)
     except InvalidTag as exc:
-        if out is not None:
-            # decrypt_into can leave unauthenticated plaintext in `out`
-            plaintext[:] = bytes(len(plaintext))
+        # decrypt_into can leave unauthenticated plaintext in the buffer
+        plaintext[:] = bytes(len(plaintext))
         raise RecordTampered("record failed authentication") from exc
     session.recv_seq = seq + 1
-    return plaintext
+    return plaintext if out is not None else plaintext.obj

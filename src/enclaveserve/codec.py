@@ -1,14 +1,14 @@
 """One reader for the length-prefixed formats.
 
 Certificates, sealed blobs and the sealed storage key, the key map and the
-provisioning payload, the keystore RPC bodies and the report body are runs
-of fixed-width fields and u32-length-prefixed strings. Each is written with
+provisioning payload, the keystore RPC bodies, the report body and the full
+ServerHello are runs of fixed-width fields and length-prefixed strings. Each is written with
 `prefixed` and read front to back by a `Reader`, which raises the format's
 own error on a bad magic, a short read, text that is not UTF-8 or a byte
 left over: one decode error for any length mismatch, as in RFC 8446 §6.2.
 
 The per-request formats keep their fixed headers and do not come here: the
-hellos (`channel/handshake.py`), the record header (`channel/record.py`),
+ClientHello (`channel/handshake.py`), the record header (`channel/record.py`),
 the frame header (`channel/transport.py`), the store object header
 (`aecs/store.py`) and the inference response header (`serving/replica.py`).
 """

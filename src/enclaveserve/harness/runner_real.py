@@ -82,12 +82,9 @@ class _ReplicaListener:
         self.thread.start()
 
     def _accept_loop(self) -> None:
-        self.sock.settimeout(0.2)
         while not self._stop.is_set():
             try:
                 conn, _ = self.sock.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
             worker = threading.Thread(target=self._serve_one, args=(conn,), daemon=True)

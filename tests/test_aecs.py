@@ -22,6 +22,7 @@ from enclaveserve.aecs import (
     ProvisionRequest,
     ServiceExists,
     StoreConflictExhausted,
+    StoreError,
     UnknownService,
     VersionConflict,
     decode_pki,
@@ -142,6 +143,17 @@ def test_directory_store_survives_reopen(tmp_path):
     store.put("a/b", b"data2", expected_version=1)
     reopened = DirectoryStore(tmp_path / "s")
     assert reopened.get("a/b") == (b"data2", 2)
+
+
+def test_directory_store_object_file_shorter_than_its_header_is_a_store_error(tmp_path):
+    store = DirectoryStore(tmp_path / "s")
+    (tmp_path / "s" / "x.obj").write_bytes(b"sto")
+    with pytest.raises(StoreError, match="corrupt object file"):
+        store.get("x")
+    with pytest.raises(StoreError, match="corrupt object file"):
+        store.put("x", b"data", expected_version=1)
+    with pytest.raises(StoreError, match="corrupt object file"):
+        store.create_if_absent("x", b"data")
 
 
 # -- key map ------------------------------------------------------------------------
@@ -599,6 +611,16 @@ def test_wire_rpc_over_framed_pipe_transport(cluster, tmp_path):
     server.join()
     left.close()
     right.close()
+
+
+def test_client_rejects_a_malformed_certificate_response_as_a_keystore_error():
+    from enclaveserve.aecs.errors import AecsError
+
+    client = wire.AecsClient(lambda request: wire.ok_response(b"garbage"))
+    with pytest.raises(AecsError, match="malformed certificate response"):
+        client.create_service_pki("svc", MODEL_MEASUREMENT)
+    with pytest.raises(AecsError, match="malformed certificate response"):
+        client.get_certificate("svc")
 
 
 def test_wire_malformed_frames_return_errors(cluster, tmp_path):

@@ -6,10 +6,11 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclaveserve import crypto
+from enclaveserve.channel import handshake
 from enclaveserve.confine import reset_taint, taint_events
 from enclaveserve.channel import (
     Certificate,
@@ -188,6 +189,89 @@ def _flip(message: bytes, rng: random.Random) -> bytes:
     data = bytearray(message)
     data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
     return bytes(data)
+
+
+# -- hostile handshake input ---------------------------------------------------------
+
+_P = 2**255 - 19
+# the seven small-order X25519 encodings (RFC 7748 §6.1): 0, 1, the two points
+# of order 8, p - 1, p and p + 1
+SMALL_ORDER_SHARES = [
+    (0).to_bytes(32, "little"),
+    (1).to_bytes(32, "little"),
+    bytes.fromhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+    bytes.fromhex("5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+    (_P - 1).to_bytes(32, "little"),
+    _P.to_bytes(32, "little"),
+    (_P + 1).to_bytes(32, "little"),
+]
+
+# name -> (the client offers a ticket, the flight: 0 ClientHello, 1 ServerHello, 2 Finished)
+FLIGHTS = {
+    "ClientHello": (False, 0),
+    "ClientHello with a ticket": (True, 0),
+    "full ServerHello": (False, 1),
+    "resumed ServerHello": (True, 1),
+    "Finished": (False, 2),
+}
+
+
+def _handshake_replacing(pki, ticket, seed, flight, replace):
+    """One handshake whose flight `flight` is `replace(message, client_hello)`."""
+    tickets = None
+    if ticket is not None:
+        tickets = TicketCache()
+        tickets.store(pki.certificate, ticket)
+    client = ClientHandshake(pki.certificate, random.Random(seed), tickets=tickets)
+    server = ServerHandshake(pki, random.Random(seed + 1))
+    hello = client.hello()
+
+    def sent(index, message):
+        return replace(message, hello) if index == flight else message
+
+    server.complete(sent(2, client.finish(sent(1, server.respond(sent(0, hello))))))
+    return client.session(), server.session()
+
+
+def _with_share(message, share, hello, pki, ticket):
+    """`message` carrying `share`, re-bound or re-signed as a peer holding
+    the ticket's PSK or the PKI would, so only the share is wrong."""
+    forged = message[:36] + share + message[68:]
+    if forged.startswith(b"hs1c") and ticket is not None:
+        bound = forged[:-32]
+        return bound + crypto.hmac_sha256(ticket.psk, handshake._BINDER_CONTEXT + bound)
+    if forged.startswith(b"hs1s"):
+        signed = forged[:-64]
+        transcript = crypto.sha256(hello + signed)
+        return signed + pki.private_key.sign(handshake._SIG_CONTEXT + transcript)
+    return forged
+
+
+@pytest.mark.parametrize("name", FLIGHTS)
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 255))
+def test_hostile_handshake_input_raises_a_channel_error(name, seed, extra):
+    offer, flight = FLIGHTS[name]
+    pki = fresh_pki()
+    ticket = _primed_tickets(pki).lookup(pki.certificate) if offer else None
+    honest = []
+    client, _ = _handshake_replacing(
+        pki, ticket, seed, flight, lambda message, hello: honest.append(message) or message
+    )
+    assert client.resumed == offer
+    (message,) = honest
+    # any other length: never ValueError, struct.error or IndexError
+    for hostile in [message[:end] for end in range(len(message))] + [message + bytes([extra])]:
+        with pytest.raises(SecureChannelError):
+            _handshake_replacing(pki, ticket, seed, flight, lambda message, hello: hostile)
+    if flight == 2:
+        return
+    for share in SMALL_ORDER_SHARES:
+        with pytest.raises(HandshakeFailure, match="X25519 share"):
+            _handshake_replacing(
+                pki, ticket, seed, flight,
+                lambda message, hello: _with_share(message, share, hello, pki, ticket),
+            )
 
 
 # -- resumption ----------------------------------------------------------------------

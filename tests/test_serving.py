@@ -9,7 +9,7 @@ import pytest
 from enclaveserve import crypto
 from enclaveserve.aecs import AecsDeployment, AecsReplica, MemoryStore
 from enclaveserve.aecs.service import AECS_MEASUREMENT
-from enclaveserve.channel import client_handshake, open_record, seal_record
+from enclaveserve.channel import TransportClosed, client_handshake, open_record, seal_record
 from enclaveserve.channel.transport import SocketTransport
 from enclaveserve.harness.runner_real import _ReplicaListener
 from enclaveserve.serving import (
@@ -351,3 +351,21 @@ def test_serve_connection_over_loopback_socket(stack):
     assert payload == b"image-bytes"
     assert service_time == pytest.approx(0.001)
     assert replica.busy_time(1.0, 2.0) == 0.0  # no request left open
+
+
+def test_low_order_client_share_closes_the_connection_without_a_thread_exception(stack):
+    # an all-zero X25519 share is a low-order point: the replica must reject
+    # the hello and close; the thread that served it must not die on it
+    # (pyproject.toml turns an unhandled thread exception into a failure)
+    _, nodes, client = stack
+    replica = start(client, nodes[0], "r0", base=0.001)
+    listener = _ReplicaListener(replica, nodes[0].clock, lambda: random.Random(5))
+    try:
+        with socket.create_connection(("127.0.0.1", listener.port), timeout=5.0) as sock:
+            transport = SocketTransport(sock)
+            transport.send_frame(b"hs1c" + bytes(32) + bytes(32))
+            with pytest.raises(TransportClosed):
+                transport.recv_frame(5.0)
+    finally:
+        listener.stop()
+    assert not any(thread.is_alive() for thread in listener._connections)

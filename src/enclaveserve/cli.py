@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .aecs.store import DirectoryStore
+from .control.errors import SloUnattainable
 from .control.profiler import profile_boundary
 from .harness.errors import HarnessError
 from .harness.report import emit_report, render_summary, summarize_dir
@@ -96,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HarnessError as exc:
+    except (HarnessError, SloUnattainable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

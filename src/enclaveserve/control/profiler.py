@@ -126,8 +126,7 @@ def _run_point(
     start_sample = collect(node)
     latencies: list[float] = []
     for _ in range(requests):
-        base = profile.sample_base_time(rng)
-        service = node.service_latency(base)
+        service = profile.service_time(node, rng)
         latencies.append(service)
         loop.run(until=loop.now() + service)
     loop.run(until=loop.now() + 1e-9)  # keep the final sample strictly later

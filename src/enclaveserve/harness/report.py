@@ -99,9 +99,12 @@ def load_latencies(out_dir: Path | str) -> list[tuple[float, str]]:
     if not lines or lines[0] != LATENCIES_HEADER:
         raise IoFailure(f"{path} does not look like a latencies file")
     rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append((float(parts[3]), parts[4]))
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            _, _, _, latency, status = line.split(",")
+            rows.append((float(latency), status))
+        except ValueError as exc:
+            raise IoFailure(f"{path} line {number}: not a latency row: {line!r}") from exc
     return rows
 
 

@@ -119,6 +119,7 @@ class ClusterRunner:
         self.traffic_capture: list[bytes] = []
         self._capture = self.traffic_capture if config.capture_traffic else None
         self.crypto_rng = crypto.derived_rng(config.seed, "session-crypto")
+        self.jitter_rng = crypto.derived_rng(config.seed, "service-jitter")
         self._rng_lock = threading.Lock()
         self.interval = config.slo.sample_interval_s if config.slo else SloSettings.sample_interval_s
         # each node's last successful telemetry sample
@@ -207,7 +208,6 @@ class ClusterRunner:
             aecs_client=self.aecs_client,
             node=self.substrate.node(node_id),
             enclave_spec=self.profile.enclave_spec(f"{self.config.service_id}/{replica_id}"),
-            base_inference_time=self.profile.base_time_s,
             rng=crypto.derived_rng(self.config.seed, f"replica:{replica_id}"),
             parallelism=self.config.parallelism,
         )
@@ -333,6 +333,12 @@ class ClusterRunner:
     def session_rng(self) -> random.Random:
         return random.Random(self.session_seed())
 
+    def service_time(self, replica: ModelServerReplica) -> float:
+        """The service time of a request `replica` starts serving now, from
+        the run's one jitter stream: both clocks' servers call this."""
+        with self._rng_lock:
+            return self.profile.service_time(replica.node, self.jitter_rng)
+
     # -- entry point -------------------------------------------------------------------
 
     def run(self) -> RunReport:
@@ -452,9 +458,7 @@ class _ReplicaServer:
         now = loop.now()
         self.busy += 1
         req.token = self.replica.begin_request(now)
-        base = self.runner.profile.sample_base_time(self.runner.jitter_rng)
-        # paging is read at service start, as the latency contract requires
-        req.service_time = self.replica.compute_service_time(base)
+        req.service_time = self.runner.service_time(self.replica)
         loop.call_later(req.service_time, partial(self._finish, req))
 
     def _finish(self, req: _Request) -> None:
@@ -482,7 +486,6 @@ class VirtualRunner(ClusterRunner):
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
         self.loop = EventLoop()
         super().__init__(config, self.loop, store)
-        self.jitter_rng = crypto.derived_rng(config.seed, "service-jitter")
         self._servers: dict[str, _ReplicaServer] = {}
         self._plain = bytearray(RESPONSE_HEADER.size + config.workload.payload_bytes)
         self._wire = bytearray(len(self._plain) + RECORD_OVERHEAD)  # the largest record

@@ -10,15 +10,17 @@ connection on its own thread. A request is one connection carrying a
 handshake (resumed once the runner's ticket cache holds a ticket) and
 encrypted records, all within one deadline of `timeout_s` from its send;
 a request that misses it or fails in any other way completes at that
-deadline, and the shared completion rule records it as timed out. Service
-time is spent sleeping. The listeners follow the shared reconciler: each
-replica it starts opens one, and each replica it stops, scaled down or
-crashed and about to restart, closes its listener first, so autoscaling
-works as on the virtual clock. Before `run()` returns, every listener
-closes and waits, for a bounded time, for its threads to end. Every
-scenario field is honoured, `capture_traffic` by recording the keystore
-RPCs and every frame a client sends or receives. Timing is subject to
-scheduler jitter and runs are not reproducible.
+deadline, and the shared completion rule records it as timed out. A
+request's service time is the shared `service_time`, drawn when its
+service starts as on the virtual clock, and is spent sleeping. The
+listeners follow the shared reconciler: each replica it starts opens one,
+and each replica it stops, scaled down or crashed and about to restart,
+closes its listener first, so autoscaling works as on the virtual clock.
+Before `run()` returns, every listener closes and waits, for a bounded
+time, for its threads to end. Every scenario field is honoured,
+`capture_traffic` by recording the keystore RPCs and every frame a client
+sends or receives. Timing is subject to scheduler jitter and runs are not
+reproducible.
 """
 
 from __future__ import annotations
@@ -31,18 +33,16 @@ from __future__ import annotations
 # the shared core in runner.py makes those calls. The tracer joins a
 # request's phases by thread, so each request and each connection keeps its
 # own thread.
-import random
 import socket
 import threading
 import time
-from typing import Callable
 
 from ..aecs.store import UntrustedStore
 from ..channel.errors import SecureChannelError
 from ..channel.handshake import client_handshake, server_handshake
 from ..channel.record import Session, open_record, seal_record
 from ..channel.transport import SocketTransport, WiretapTransport
-from ..clock import Clock, RealClock
+from ..clock import RealClock
 from ..control.telemetry import collect  # noqa: F401
 from ..serving.replica import (  # noqa: F401
     ModelServerReplica,
@@ -63,14 +63,12 @@ class _ReplicaListener:
     """Loopback TCP server for one replica, one thread per connection; each
     connection is a handshake, one request record in and one response record
     out. `parallelism` bounds the number of requests being serviced at once,
-    later arrivals queue on the semaphore."""
+    later arrivals queue on the semaphore. The runner's clock, session
+    randomness and service-time rule serve every connection."""
 
-    def __init__(
-        self, replica: ModelServerReplica, clock: Clock, server_rng: Callable[[], random.Random]
-    ) -> None:
+    def __init__(self, replica: ModelServerReplica, runner: ClusterRunner) -> None:
         self.replica = replica
-        self.clock = clock
-        self.server_rng = server_rng
+        self.runner = runner
         self.semaphore = threading.Semaphore(replica.parallelism)
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.bind(("127.0.0.1", 0))
@@ -94,23 +92,23 @@ class _ReplicaListener:
             self._connections.append(worker)
 
     def _serve_one(self, conn: socket.socket) -> None:
-        clock = self.clock
+        runner, clock = self.runner, self.runner.clock
         try:
             with conn:
                 transport = SocketTransport(conn)
                 session = server_handshake(
-                    transport, self.replica.pki, self.server_rng(), now=clock.now()
+                    transport, self.replica.pki, runner.session_rng(), now=clock.now()
                 )
                 payload = open_record(session, transport.recv_frame(10.0))
                 with self.semaphore:
                     if self._stop.is_set():
                         return  # the run is over: nobody waits for this response
                     token = self.replica.begin_request(clock.now())
-                    response, service_time = self.replica.serve_inference(payload)
+                    service_time = runner.service_time(self.replica)
                     clock.sleep(service_time)
                     self.replica.end_request(token, clock.now())
                 transport.send_frame(
-                    seal_record(session, encode_inference_response(response, service_time))
+                    seal_record(session, encode_inference_response(payload, service_time))
                 )
         except (SecureChannelError, OSError):
             pass
@@ -143,7 +141,7 @@ class RealRunner(ClusterRunner):
 
     def _make_replica(self, replica_id: str, node_id: str) -> ModelServerReplica:
         replica = super()._make_replica(replica_id, node_id)
-        self.listeners[replica_id] = _ReplicaListener(replica, self.clock, self.session_rng)
+        self.listeners[replica_id] = _ReplicaListener(replica, self)
         return replica
 
     def _retire_replica(self, replica: ModelServerReplica) -> None:

@@ -1,10 +1,11 @@
 """Model profiles: the calibrated inference stubs.
 
-Each profile stands in for one served model. Service time is the profile's
-base time under a multiplicative lognormal jitter (sigma around 0.13 puts
-the idle p99 near 1.35x the base), then inflated by node paging. SLOs sit
-at roughly 4x the idle p99, and each profile's enclave footprint fixes how
-it shares a node's EPC.
+Each profile stands in for one served model. `service_time`, the one
+rule both clocks and the profiler serve by, is the profile's base time
+under a multiplicative lognormal jitter (sigma around 0.13 puts the idle
+p99 near 1.35x the base), then inflated by node paging. SLOs sit at
+roughly 4x the idle p99, and each profile's enclave footprint fixes how it
+shares a node's EPC.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .substrate.node import MIB, EnclaveSpec
+from .substrate.node import MIB, EnclaveSpec, Node
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,11 @@ class ModelProfile:
         if self.jitter_sigma <= 0:
             return self.base_time_s
         return self.base_time_s * rng.lognormvariate(0.0, self.jitter_sigma)
+
+    def service_time(self, node: Node, rng: random.Random) -> float:
+        """One request's service time on `node`, starting now: a jittered
+        base time inflated by the node's current paging."""
+        return node.service_latency(self.sample_base_time(rng))
 
     def measurement(self) -> bytes:
         import hashlib

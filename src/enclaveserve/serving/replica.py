@@ -7,9 +7,9 @@ PKI, and decrypts the response in-enclave. Every replica of a service ends
 up presenting the byte-identical certificate, which is what makes frontend
 failover invisible to clients.
 
-Inference itself is a calibrated stub: the response echoes the payload and
-the service time is the replica's base time inflated by the node's paging
-throughput at the moment service starts.
+Inference itself is a calibrated stub: the response echoes the payload,
+and the runner draws the service time from the model profile's one rule
+(`ModelProfile.service_time`) on the replica's node when service starts.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class ModelServerReplica:
         node: Node,
         enclave: EnclaveHandle,
         pki: ServicePki,
-        base_inference_time: float,
         parallelism: int = 1,
     ) -> None:
         self.replica_id = replica_id
@@ -45,7 +44,6 @@ class ModelServerReplica:
         self.node = node
         self.enclave = enclave
         self.pki = pki
-        self.base_inference_time = base_inference_time
         self.parallelism = parallelism
         self._lock = threading.Lock()
         self._closed_busy: deque[tuple[float, float]] = deque()
@@ -56,20 +54,6 @@ class ModelServerReplica:
     @property
     def certificate(self):
         return self.pki.certificate
-
-    # -- latency -----------------------------------------------------------------
-
-    def compute_service_time(self, base_time: float | None = None) -> float:
-        """Base inference time inflated by the node's paging at this instant."""
-        return self.node.service_latency(
-            self.base_inference_time if base_time is None else base_time
-        )
-
-    def serve_inference(self, payload: bytes, *, base_time: float | None = None) -> tuple[bytes, float]:
-        """One inference: returns (response payload, service time). The
-        caller is responsible for spending the service time (sleeping in
-        real-clock mode, scheduling a completion event in virtual mode)."""
-        return bytes(payload), self.compute_service_time(base_time)
 
     # -- busy-time accounting -------------------------------------------------------
 
@@ -110,7 +94,6 @@ def start_replica(
     aecs_client: AecsClient,
     node: Node,
     enclave_spec: EnclaveSpec,
-    base_inference_time: float,
     rng: random.Random,
     parallelism: int = 1,
 ) -> ModelServerReplica:
@@ -129,9 +112,7 @@ def start_replica(
     except (AecsError, crypto.DecryptionError, ValueError) as exc:
         node.terminate_enclave(enclave)
         raise ProvisioningFailed(str(exc)) from exc
-    return ModelServerReplica(
-        replica_id, service_id, node, enclave, pki, base_inference_time, parallelism
-    )
+    return ModelServerReplica(replica_id, service_id, node, enclave, pki, parallelism)
 
 
 def stop_replica(replica: ModelServerReplica) -> None:

@@ -181,7 +181,7 @@ def test_start_replica_given_a_truncated_pki_payload_leaves_no_enclave(substrate
 
     for end in range(len(payload)):
         with pytest.raises(ProvisioningFailed):
-            start_replica("svc", "r0", Truncating(end), node, spec, 0.02, random.Random(3))
+            start_replica("svc", "r0", Truncating(end), node, spec, random.Random(3))
         assert node.enclave_handle("svc/r0") is None
 
 

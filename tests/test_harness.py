@@ -36,6 +36,7 @@ from enclaveserve.harness import (
     STATUS_TIMEOUT,
     ConfigInvalid,
     EmptySamples,
+    IoFailure,
     ScenarioFailed,
     build_lb_scenario,
     build_scaling_scenario,
@@ -64,13 +65,13 @@ from enclaveserve.harness.scenario import (
     WorkloadSettings,
     from_dict,
 )
-from enclaveserve.profiles import PRESETS
-from enclaveserve.serving import Endpoint, ModelServerReplica, crash_replica
+from enclaveserve.profiles import PRESETS, ModelProfile
+from enclaveserve.serving import Endpoint, crash_replica
 from enclaveserve.substrate import node as node_module
 from enclaveserve.substrate.node import Node
 from enclaveserve.substrate.paging import inflate_latency
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+from .conftest import SCENARIOS, scaled_to
 
 
 # -- workload ---------------------------------------------------------------------
@@ -959,9 +960,7 @@ def test_taint_recorded_in_a_helper_reaches_the_runner(monkeypatch):
 
 def test_virtual_request_that_ends_after_its_timeout_is_recorded_timed_out(monkeypatch):
     timeout_s = 0.5
-    monkeypatch.setattr(
-        ModelServerReplica, "compute_service_time", lambda self, base_time=None: 1.2 * timeout_s
-    )
+    monkeypatch.setattr(ModelProfile, "service_time", lambda self, node, rng: 1.2 * timeout_s)
     config = dataclasses.replace(
         small_scenario(duration=3.0), workload=WorkloadSettings(rate_per_s=8.0, timeout_s=timeout_s)
     )
@@ -979,11 +978,7 @@ def test_virtual_request_that_ends_after_its_timeout_is_recorded_timed_out(monke
 @pytest.mark.parametrize("early_s, status", [(1e-6, STATUS_OK), (0.0, STATUS_TIMEOUT)])
 def test_virtual_response_exactly_at_its_deadline_is_timed_out(monkeypatch, early_s, status):
     timeout_s = 0.5
-    monkeypatch.setattr(
-        ModelServerReplica,
-        "compute_service_time",
-        lambda self, base_time=None: timeout_s - early_s,
-    )
+    monkeypatch.setattr(ModelProfile, "service_time", lambda self, node, rng: timeout_s - early_s)
     config = dataclasses.replace(
         small_scenario(duration=3.0),
         parallelism=64,  # every request starts service at its send time
@@ -1260,6 +1255,18 @@ def test_summarize_dir(tmp_path):
     assert f"records={len(report.records)}" in text
 
 
+@pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,r0,fast,ok"], ids=["short", "not-a-number"])
+def test_summarize_dir_names_the_line_it_cannot_read(tmp_path, row):
+    report = run_scenario(small_scenario(duration=2.0, seed=14))
+    emit_report(report, tmp_path)
+    path = tmp_path / "latencies.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(3, row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IoFailure, match=rf"latencies\.csv line 4\b"):
+        summarize_dir(tmp_path)
+
+
 # -- CLI ----------------------------------------------------------------------------------
 
 
@@ -1316,6 +1323,13 @@ def test_cli_profile(tmp_path, capsys):
     assert (tmp_path / "profile-mobilenet_v1_float.csv").exists()
 
 
+def test_cli_profile_reports_an_unattainable_slo(capsys):
+    # 1 ms is below mobilenet's idle p99, so there is no boundary to print
+    assert cli_main(["profile", "mobilenet_v1_float", "--slo", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p99 ") and "exceeds SLO 0.0010s" in err
+
+
 def test_cli_rejects_invalid_scenario(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("just a string")
@@ -1352,22 +1366,6 @@ def short_real_scenario(**changes):
     return dataclasses.replace(
         config, workload=WorkloadSettings(rate_per_s=12.0, timeout_s=5.0), **changes
     )
-
-
-def scaled_to(raw: dict, seconds: float) -> dict:
-    """A scenario's raw YAML with every time in it scaled into `seconds`;
-    timeouts keep their value."""
-    factor = seconds / raw["duration_s"]
-    raw["duration_s"] = seconds
-    for script in raw.get("interference", []):
-        script["windows"] = [[start * factor, end * factor] for start, end in script["windows"]]
-    policies = raw.setdefault("policies", {})
-    # the control tick follows policies.slo, which only sgx_aware acts on
-    slo = policies.setdefault("slo", {"boundary_pages_per_s": 4950.0})
-    slo["sample_interval_s"] = slo.get("sample_interval_s", 1.0) * factor
-    if "autoscale" in policies:
-        policies["autoscale"]["cooldown_s"] = policies["autoscale"].get("cooldown_s", 30.0) * factor
-    return raw
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
@@ -1571,11 +1569,8 @@ def test_real_request_that_ends_after_its_timeout_is_recorded_timed_out(monkeypa
         time.sleep(0.6 * timeout_s)  # the ServerHello comes 0.3 s late
         return server_handshake(*args, **kwargs)
 
-    def slow_serve_inference(self, payload, *, base_time=None):
-        return bytes(payload), 0.6 * timeout_s
-
     monkeypatch.setattr(runner_real, "server_handshake", slow_server_handshake)
-    monkeypatch.setattr(ModelServerReplica, "serve_inference", slow_serve_inference)
+    monkeypatch.setattr(ModelProfile, "service_time", lambda self, node, rng: 0.6 * timeout_s)
     config = small_scenario(duration=1.0, rate=4.0, seed=21)
     config = dataclasses.replace(
         config, workload=WorkloadSettings(rate_per_s=4.0, timeout_s=timeout_s)
@@ -1609,12 +1604,9 @@ def test_real_request_that_fails_unexpectedly_is_recorded_timed_out(monkeypatch)
 
 
 def test_real_run_leaves_no_thread_behind(monkeypatch):
-    def slow_serve_inference(self, payload, *, base_time=None):
-        return bytes(payload), 0.1
-
     # one slot per replica, 100 ms of service and a 50 ms deadline: requests
     # queue at the replicas and their clients give up
-    monkeypatch.setattr(ModelServerReplica, "serve_inference", slow_serve_inference)
+    monkeypatch.setattr(ModelProfile, "service_time", lambda self, node, rng: 0.1)
     config = dataclasses.replace(
         small_scenario(duration=1.0, rate=40.0, seed=21),
         parallelism=1,

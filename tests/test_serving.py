@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import socket
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,7 @@ from enclaveserve.aecs.service import AECS_MEASUREMENT
 from enclaveserve.channel import TransportClosed, client_handshake, open_record, seal_record
 from enclaveserve.channel.transport import SocketTransport
 from enclaveserve.harness.runner_real import _ReplicaListener
+from enclaveserve.profiles import PRESETS
 from enclaveserve.serving import (
     Endpoint,
     NoEligibleEndpoint,
@@ -60,16 +63,31 @@ def stack(substrate, tmp_path):
     return substrate, nodes, client
 
 
-def start(client, node, rid, base=0.020, parallelism=1, measurement=MODEL_MEASUREMENT):
+def start(client, node, rid, parallelism=1, measurement=MODEL_MEASUREMENT):
     return start_replica(
         service_id="svc",
         replica_id=rid,
         aecs_client=client,
         node=node,
         enclave_spec=model_spec(f"svc/{rid}", measurement),
-        base_inference_time=base,
         rng=random.Random(hash(rid) & 0xFFFF),
         parallelism=parallelism,
+    )
+
+
+def unjittered(base):
+    """A replica's service-time rule for a profile of base time `base` with
+    its jitter off, so each service time is exact."""
+    profile = dataclasses.replace(
+        PRESETS["mobilenet_v1_float"], base_time_s=base, jitter_sigma=0.0
+    )
+    return lambda replica: profile.service_time(replica.node, random.Random(0))
+
+
+def listener_runner(clock):
+    """What a replica listener uses of its runner, serving for 1 ms."""
+    return SimpleNamespace(
+        clock=clock, session_rng=lambda: random.Random(5), service_time=unjittered(0.001)
     )
 
 
@@ -122,14 +140,13 @@ def test_failover_same_expected_certificate(stack):
 
 def test_idle_service_time_is_exact_base(stack):
     _, nodes, client = stack
-    replica = start(client, nodes[2], "r2", base=0.020)
-    _, service_time = replica.serve_inference(b"x")
-    assert service_time == pytest.approx(0.020)
+    replica = start(client, nodes[2], "r2")
+    assert unjittered(0.020)(replica) == pytest.approx(0.020)
 
 
 def test_interference_inflates_to_five_x_at_reference(stack):
     _, nodes, client = stack
-    replica = start(client, nodes[2], "r2", base=0.020)
+    replica = start(client, nodes[2], "r2")
     node = nodes[2]
     # drive paging to exactly t_ref: overflow fraction x total rate = 1e4
     # ws 60 + 93 = 153 on 93 usable: fraction 60/153; rate 2000 + x
@@ -139,8 +156,7 @@ def test_interference_inflates_to_five_x_at_reference(stack):
     node.launch_enclave(stress)
     specs = [replica.enclave.spec, stress]
     assert overflow_throughput(node.spec.epc_usable_bytes, specs) == pytest.approx(1e4)
-    _, service_time = replica.serve_inference(b"x")
-    assert service_time == pytest.approx(0.100)
+    assert unjittered(0.020)(replica) == pytest.approx(0.100)
 
 
 def test_connection_accounting_balances(stack):
@@ -336,9 +352,9 @@ def test_utilization_rejects_bad_window(stack):
 
 def test_serve_connection_over_loopback_socket(stack):
     _, nodes, client = stack
-    replica = start(client, nodes[0], "r0", base=0.001)
+    replica = start(client, nodes[0], "r0")
     expected = client.get_certificate("svc")
-    listener = _ReplicaListener(replica, nodes[0].clock, lambda: random.Random(5))
+    listener = _ReplicaListener(replica, listener_runner(nodes[0].clock))
     try:
         with socket.create_connection(("127.0.0.1", listener.port), timeout=5.0) as sock:
             transport = SocketTransport(sock)
@@ -358,8 +374,8 @@ def test_low_order_client_share_closes_the_connection_without_a_thread_exception
     # the hello and close; the thread that served it must not die on it
     # (pyproject.toml turns an unhandled thread exception into a failure)
     _, nodes, client = stack
-    replica = start(client, nodes[0], "r0", base=0.001)
-    listener = _ReplicaListener(replica, nodes[0].clock, lambda: random.Random(5))
+    replica = start(client, nodes[0], "r0")
+    listener = _ReplicaListener(replica, listener_runner(nodes[0].clock))
     try:
         with socket.create_connection(("127.0.0.1", listener.port), timeout=5.0) as sock:
             transport = SocketTransport(sock)

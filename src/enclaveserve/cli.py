@@ -15,7 +15,7 @@ from pathlib import Path
 from .aecs.store import DirectoryStore
 from .control.errors import SloUnattainable
 from .control.profiler import profile_boundary
-from .harness.errors import HarnessError
+from .harness.errors import ConfigInvalid, HarnessError, IoFailure
 from .harness.report import emit_report, render_summary, summarize_dir
 from .harness.runner import run_scenario
 from .harness.runner_real import run_scenario_real
@@ -27,7 +27,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    store = DirectoryStore(Path(args.out) / "store") if args.out else None
+    try:
+        store = DirectoryStore(Path(args.out) / "store") if args.out else None
+    except OSError as exc:
+        raise IoFailure(f"cannot write report to {args.out}: {exc}") from exc
     if args.clock == "real":
         report = run_scenario_real(config, store=store)
     else:
@@ -42,8 +45,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     if args.model not in PRESETS:
-        print(f"unknown model {args.model!r}; choose from {', '.join(sorted(PRESETS))}")
-        return 2
+        choices = ", ".join(sorted(PRESETS))
+        raise ConfigInvalid(f"unknown model {args.model!r}; choose from {choices}")
     profile, boundary = profile_boundary(
         PRESETS[args.model], args.slo / 1000.0, seed=args.seed
     )
@@ -55,10 +58,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     body = "\n".join(lines) + f"\nboundary_pages_per_s={boundary!r}\n"
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"profile-{args.model}.csv").write_text(body)
-        print(f"wrote {out / f'profile-{args.model}.csv'}")
+        path = Path(args.out) / f"profile-{args.model}.csv"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(body)
+        except OSError as exc:
+            raise IoFailure(f"cannot write profile to {args.out}: {exc}") from exc
+        print(f"wrote {path}")
     sys.stdout.write(body)
     return 0
 

@@ -26,11 +26,13 @@ On the virtual clock nothing in the schedule reads a crypto result, so a
 request's crypto runs after it completes, as a job in a batch of
 `CRYPTO_BATCH`. A batch's index alone decides where it runs: in the
 runner's process between events, or in one worker process forked per run,
-so both cores work. Each job carries its own session seed, drawn when the
-request was sent, and the runner adds up the handshake counts and orders
-captured frames by request index, so no output depends on the split. The
-worker sends back the `confine` taint events each batch recorded, and they
-are recorded in the runner's process as if the batch had run there.
+so both cores work; batches are small, so at either end of a run one
+process waits at most one batch for the other. Each job carries its own
+session seed, drawn when the request was sent, and the runner adds up the
+handshake counts and orders captured frames by request index, so no
+output depends on the split. The worker sends back the `confine` taint
+events each batch recorded, and they are recorded in the runner's process
+as if the batch had run there.
 """
 
 from __future__ import annotations
@@ -366,7 +368,7 @@ class ClusterRunner:
 
 
 # completed virtual requests whose crypto runs together, in one process
-CRYPTO_BATCH = 256
+CRYPTO_BATCH = 32
 # a batch's full and resumed handshake counts, and its frames by request index
 _Result = tuple[int, int, list[tuple[int, list[bytes]]]]
 
@@ -478,9 +480,10 @@ class VirtualRunner(ClusterRunner):
     that is at or after its deadline, and then becomes a crypto job
     `(index, send_ts, seed, service_time)`. Batch 0, with the run's one full
     handshake, every even batch and the last partial one run here; odd ones
-    go to the run's `_Worker` with the ticket that handshake got. Every job
-    is served with the service PKI, which every replica holds. Each process
-    seals into one wire buffer and opens into one plaintext buffer.
+    go to the run's `_Worker` with the ticket that handshake got, at most
+    two of them unanswered. Every job is served with the service PKI, which
+    every replica holds. Each process seals into one wire buffer and opens
+    into one plaintext buffer.
     """
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:

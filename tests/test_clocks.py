@@ -2,7 +2,8 @@
 
 Each shipped scenario runs, scaled into about 1.5 s at no more than 12
 rps, once on the virtual clock and once on the real clock, with the same
-seed. Whatever the schedule decides without reading the wall clock must
+seed; so does one edge case, a single replica serving one request at a
+time. Whatever the schedule decides without reading the wall clock must
 come out the same on both: the sends, the handshakes, the service-time
 draws from the run's one jitter stream, the round-robin split and the
 frames each request puts on the wire.
@@ -33,8 +34,10 @@ SEED = 21
 MAX_RATE = 12.0
 
 
-def oracle_config(path):
+def oracle_config(path, edit=None):
     raw = scaled_to(yaml.safe_load(path.read_text()), 1.5)
+    if edit is not None:
+        edit(raw)
     raw["seed"] = SEED
     workload = raw.setdefault("workload", {})
     workload["rate_per_s"] = min(workload.get("rate_per_s", MAX_RATE), MAX_RATE)
@@ -67,9 +70,23 @@ def channel_frames(capture):
     return [blob for blob in capture if blob[:2] == b"hs" or blob[:4] == b"rec1"]
 
 
-@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
-def test_both_clocks_give_one_answer(path, monkeypatch):
-    config = oracle_config(path)
+def one_serial_replica(raw):
+    """Every request on one replica, which serves one at a time."""
+    raw["service"]["replicas"] = raw["service"]["replicas"][:1]
+    raw["service"]["parallelism"] = 1
+
+
+CASES = [pytest.param(path, None, id=path.stem) for path in sorted(SCENARIOS.glob("*.yaml"))]
+CASES.append(
+    pytest.param(
+        SCENARIOS / "lb-low-mobilenet-rr.yaml", one_serial_replica, id="one-replica-parallelism-1"
+    )
+)
+
+
+@pytest.mark.parametrize("path, edit", CASES)
+def test_both_clocks_give_one_answer(path, edit, monkeypatch):
+    config = oracle_config(path, edit)
     runs = {
         clock: run_logged(runner_class, config, monkeypatch)
         for clock, runner_class in (("virtual", VirtualRunner), ("real", RealRunner))

@@ -866,14 +866,14 @@ def test_failed_crypto_job_fails_the_run_and_leaves_no_helper(monkeypatch, tmp_p
     def failing_payload(config, index):
         in_worker = os.getpid() != parent
         # batch 1 is the worker's first; batch 2 runs here while it holds batch 1
-        if fails_in == "helper" and index == order[CRYPTO_BATCH + 44]:
+        if fails_in == "helper" and index == order[CRYPTO_BATCH + CRYPTO_BATCH // 2]:
             if in_worker:
                 marker.touch()
             raise _Injected(index)
         if fails_in == "parent":
             if in_worker and index == order[CRYPTO_BATCH]:
                 time.sleep(60)  # the worker is still busy when the run fails
-            elif not in_worker and index == order[2 * CRYPTO_BATCH + 44]:
+            elif not in_worker and index == order[2 * CRYPTO_BATCH + CRYPTO_BATCH // 2]:
                 raise _Injected(index)
         return payload(config, index)
 
@@ -890,7 +890,7 @@ def test_failed_crypto_job_fails_the_run_and_leaves_no_helper(monkeypatch, tmp_p
 def test_killed_worker_leaves_its_batches_to_the_runner(monkeypatch, tmp_path):
     config = _batched_scenario(capture_traffic=True)
     here, _, runner = _run_crypto(monkeypatch, tmp_path, config, fork=False)
-    doomed = _job_order(runner)[CRYPTO_BATCH + 44]  # inside the worker's first batch
+    doomed = _job_order(runner)[CRYPTO_BATCH + CRYPTO_BATCH // 2]  # in the worker's first batch
     killed = tmp_path / "killed"
 
     def die(index):
@@ -904,9 +904,9 @@ def test_killed_worker_leaves_its_batches_to_the_runner(monkeypatch, tmp_path):
 
 
 def test_worker_results_larger_than_the_socket_buffer_arrive_whole(monkeypatch, tmp_path):
-    # 16 KiB requests: one batch's captured frames are about 8 MiB, far
-    # beyond what a socket pair buffers (about 200 KiB on Linux), so the
-    # worker blocks writing until the runner reads
+    # 16 KiB requests: one batch's captured frames are about 1 MiB, beyond
+    # what a socket pair buffers (about 200 KiB on Linux), so the worker
+    # blocks writing until the runner reads
     config = dataclasses.replace(
         small_scenario(duration=4.0, rate=200.0),
         capture_traffic=True,
@@ -1328,6 +1328,29 @@ def test_cli_profile_reports_an_unattainable_slo(capsys):
     assert cli_main(["profile", "mobilenet_v1_float", "--slo", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: p99 ") and "exceeds SLO 0.0010s" in err
+
+
+def test_cli_run_reports_an_out_directory_it_cannot_create(tmp_path, capsys):
+    path = scenario_yaml(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli_main(["run", str(path), "--out", str(blocker / "sub")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write report to ") and not captured.out
+
+
+def test_cli_profile_reports_an_unknown_model_on_stderr(capsys):
+    assert cli_main(["profile", "foo", "--slo", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown model 'foo'") and not captured.out
+
+
+def test_cli_profile_reports_an_out_directory_it_cannot_create(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["profile", "mobilenet_v1_float", "--slo", "100", "--out", str(blocker / "x")]
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write profile to ")
 
 
 def test_cli_rejects_invalid_scenario(tmp_path, capsys):

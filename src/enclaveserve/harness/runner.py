@@ -23,16 +23,15 @@ encrypted records carry the payload both ways. The frontend only moves ciphertex
 keys live at the client and inside the replica.
 
 On the virtual clock nothing in the schedule reads a crypto result, so a
-request's crypto runs after it completes, as a job in a batch of
-`CRYPTO_BATCH`. A batch's index alone decides where it runs: in the
-runner's process between events, or in one worker process forked per run,
-so both cores work; batches are small, so at either end of a run one
-process waits at most one batch for the other. Each job carries its own
-session seed, drawn when the request was sent, and the runner adds up the
-handshake counts and orders captured frames by request index, so no
-output depends on the split. The worker sends back the `confine` taint
-events each batch recorded, and they are recorded in the runner's process
-as if the batch had run there.
+completed request only leaves a crypto job, and the run's jobs all run
+once the last event has fired. The first makes the run's one full
+handshake in the runner's process; of the rest, the runner runs the first
+half and, so both cores work, one worker process forked then runs the
+second. Each job carries its own session seed, drawn when the request was
+sent, and the runner adds up the handshake counts and orders captured
+frames by request index, so no output depends on the split. The worker
+sends back the `confine` taint events its jobs recorded, and they are
+recorded in the runner's process as if the jobs had run there.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from typing import Callable
 from .. import confine, crypto
 from ..aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
 from ..aecs.store import MemoryStore, UntrustedStore
-from ..channel.handshake import Ticket, TicketCache, handshake_in_process
+from ..channel.handshake import TicketCache, handshake_in_process
 from ..channel.record import RECORD_OVERHEAD, open_record, seal_record
 from ..clock import EventLoop
 from ..control.autoscale import Autoscaler
@@ -367,9 +366,9 @@ class ClusterRunner:
         )
 
 
-# completed virtual requests whose crypto runs together, in one process
-CRYPTO_BATCH = 32
-# a batch's full and resumed handshake counts, and its frames by request index
+# the fewest crypto jobs in a run that fork a worker for half of them
+FORK_MIN_JOBS = 64
+# jobs' full and resumed handshake counts, and their frames by request index
 _Result = tuple[int, int, list[tuple[int, list[bytes]]]]
 
 
@@ -387,11 +386,10 @@ class _Request:
 
 
 class _Worker:
-    """A process, forked once, that runs `run_batch(jobs, ticket)` for each
-    batch sent to it, in order, and answers each with `(ok, result, taint
-    events)`. `pending` holds the batches sent and not yet answered."""
+    """A process, forked once, that runs `work()` and answers once with
+    `(ok, result, taint events)`. It inherits everything `work` needs."""
 
-    def __init__(self, run_batch: Callable[..., tuple]) -> None:
+    def __init__(self, work: Callable[[], _Result]) -> None:
         self._socket, theirs = socket.socketpair()
         try:
             self.pid = os.fork()
@@ -403,37 +401,29 @@ class _Worker:
             try:
                 self._socket.close()
                 gc.disable()  # a collection would write to, and so copy, every shared page
-                jobs, results = theirs.makefile("rb"), theirs.makefile("wb")
-                while True:  # until the runner closes its end and pickle.load raises
-                    message = pickle.load(jobs)
-                    confine.reset_taint()  # the runner's own events stay with the runner
-                    try:
-                        answer = True, run_batch(*message), confine.taint_events()
-                    except Exception:
-                        answer = False, None, []
+                confine.reset_taint()  # the runner's own events stay with the runner
+                try:
+                    answer = True, work(), confine.taint_events()
+                except Exception:
+                    answer = False, None, []
+                with theirs.makefile("wb") as results:
                     pickle.dump(answer, results)
-                    results.flush()
             finally:
                 os._exit(0)
         theirs.close()
-        self._results = self._socket.makefile("rb")
-        self.pending: deque[list[tuple]] = deque()
 
-    def send(self, jobs: list[tuple], ticket: Ticket | None) -> None:
-        """Hand a batch over; raises OSError if the worker has died."""
-        self.pending.append(jobs)
-        self._socket.sendall(pickle.dumps((jobs, ticket)))
-
-    def receive(self) -> tuple:
-        """Wait for the oldest pending batch's answer; not ok if it died."""
+    def answer(self) -> tuple:
+        """Wait for the answer, then reap the worker; not ok if it died."""
         try:
-            return pickle.load(self._results)
+            with self._socket.makefile("rb") as results:
+                return pickle.load(results)
         except (EOFError, OSError, pickle.UnpicklingError):
             return False, None, []
+        finally:
+            self.end()
 
     def end(self) -> None:
         """Stop and reap the worker, whatever it is doing."""
-        self._results.close()
         self._socket.close()
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
@@ -478,12 +468,13 @@ class VirtualRunner(ClusterRunner):
 
     A request is recorded when its server completes it, as timed out if
     that is at or after its deadline, and then becomes a crypto job
-    `(index, send_ts, seed, service_time)`. Batch 0, with the run's one full
-    handshake, every even batch and the last partial one run here; odd ones
-    go to the run's `_Worker` with the ticket that handshake got, at most
-    two of them unanswered. Every job is served with the service PKI, which
-    every replica holds. Each process seals into one wire buffer and opens
-    into one plaintext buffer.
+    `(index, send_ts, seed, service_time)`. Once the last event has fired,
+    `_drain` runs the first job here, which makes the run's one full
+    handshake; with `FORK_MIN_JOBS` jobs or more it then forks a `_Worker`,
+    which inherits that handshake's ticket and runs the second half of the
+    rest while the first half runs here. Every job is served with the
+    service PKI, which every replica holds. Each process seals into one wire
+    buffer and opens into one plaintext buffer.
     """
 
     def __init__(self, config: ScenarioConfig, store: UntrustedStore | None = None) -> None:
@@ -493,7 +484,6 @@ class VirtualRunner(ClusterRunner):
         self._plain = bytearray(RESPONSE_HEADER.size + config.workload.payload_bytes)
         self._wire = bytearray(len(self._plain) + RECORD_OVERHEAD)  # the largest record
         self._jobs: list[tuple] = []
-        self._batches = 0
         self._worker: _Worker | None = None
         self._frames: list[tuple[int, list[bytes]]] = []
 
@@ -505,16 +495,6 @@ class VirtualRunner(ClusterRunner):
         self._pki = replica.pki
         self._servers[replica_id] = _ReplicaServer(self, replica)
         return replica
-
-    def _schedule(self) -> None:
-        super()._schedule()
-        # fork before the clock runs, if there can be an odd batch; a child
-        # inherits only this thread, not locks other threads hold
-        if len(self.arrivals) >= 2 * CRYPTO_BATCH and threading.active_count() == 1:
-            try:
-                self._worker = _Worker(self._crypto)
-            except (AttributeError, OSError):
-                pass  # no os.fork here, or no process to spare: every batch runs here
 
     def run(self) -> RunReport:
         try:
@@ -535,38 +515,7 @@ class VirtualRunner(ClusterRunner):
 
     def complete_request(self, req: _Request) -> None:
         self._jobs.append((req.index, req.send_ts, req.seed, req.service_time))
-        if len(self._jobs) == CRYPTO_BATCH:
-            self._dispatch(self._jobs)
-            self._jobs = []
         self._complete(req.endpoint, req.index, req.send_ts, self.loop.now())
-
-    def _dispatch(self, jobs: list[tuple]) -> None:
-        to_worker = self._batches % 2 == 1
-        self._batches += 1
-        if to_worker and self._worker is not None and len(self._worker.pending) == 2:
-            self._take()
-        if not to_worker or self._worker is None:
-            self._add(self._crypto(jobs))
-            return
-        try:
-            self._worker.send(jobs, self.tickets.lookup(self.expected_cert))
-        except OSError:
-            pass  # it died: the next _take finds it gone and runs the batch here
-
-    def _take(self) -> None:
-        """Add the worker's answer to its oldest batch; if that failed or the
-        worker is gone, end it and run its batches here, raising what it met."""
-        worker = self._worker
-        ok, result, taints = worker.receive()
-        if ok:
-            worker.pending.popleft()
-            confine.record(taints)
-            self._add(result)
-            return
-        self._worker = None
-        worker.end()
-        for jobs in worker.pending:
-            self._add(self._crypto(jobs))
 
     def _add(self, result: _Result) -> None:
         full, resumed, frames = result
@@ -574,12 +523,10 @@ class VirtualRunner(ClusterRunner):
         self.handshakes_resumed += resumed
         self._frames += frames
 
-    def _crypto(self, jobs: list[tuple], ticket: Ticket | None = None) -> _Result:
-        """Run each job's handshake, resuming with `ticket` if given, and
-        both its records, as its client and replica would have; each job's
-        five frames are kept only with `capture_traffic`."""
-        if ticket is not None:
-            self.tickets.store(self.expected_cert, ticket)
+    def _crypto(self, jobs: list[tuple]) -> _Result:
+        """Run each job's handshake and both its records, as its client and
+        replica would have; each job's five frames are kept only with
+        `capture_traffic`."""
         full = resumed = 0
         frames: list[tuple[int, list[bytes]]] = []
         capture: list[bytes] | None = None
@@ -617,14 +564,27 @@ class VirtualRunner(ClusterRunner):
         return full, resumed, frames
 
     def _drain(self) -> None:
-        # every request has completed: run the last jobs, then take the worker's
-        self._add(self._crypto(self._jobs))
-        self._jobs = []
-        while self._worker is not None and self._worker.pending:
-            self._take()
+        # every request has completed: the first job gets the ticket the
+        # rest resume with, and a worker forked after it runs the second half
+        jobs, self._jobs = self._jobs, []
+        self._add(self._crypto(jobs[:1]))
+        split = len(jobs)
+        # a child inherits only this thread, not locks other threads hold
+        if split >= FORK_MIN_JOBS and threading.active_count() == 1:
+            split = 1 + (split - 1) // 2
+            try:
+                self._worker = _Worker(partial(self._crypto, jobs[split:]))
+            except (AttributeError, OSError):
+                split = len(jobs)  # no os.fork here, or no process to spare: all run here
+        self._add(self._crypto(jobs[1:split]))
         if self._worker is not None:
-            self._worker.end()
-            self._worker = None
+            worker, self._worker = self._worker, None
+            ok, result, taints = worker.answer()
+            if ok:
+                confine.record(taints)
+                self._add(result)
+            else:  # it failed or died: run its half here, raising what it met
+                self._add(self._crypto(jobs[split:]))
         if self._capture is not None:
             for _, frames in sorted(self._frames):
                 self._capture += frames

@@ -53,7 +53,7 @@ from enclaveserve.harness.report import (
 )
 from enclaveserve.harness import runner as runner_module
 from enclaveserve.harness import runner_real
-from enclaveserve.harness.runner import CRYPTO_BATCH, ClusterRunner, VirtualRunner, _Request
+from enclaveserve.harness.runner import FORK_MIN_JOBS, ClusterRunner, VirtualRunner, _Request
 from enclaveserve.harness.runner_real import RealRunner
 from enclaveserve.harness.scenario import (
     PROFILED_BOUNDARIES,
@@ -729,7 +729,7 @@ def test_virtual_capture_holds_byte_copies_and_replays_identically():
 
 def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
     # a completed request becomes a crypto job that holds no payload, buffer
-    # or session, and a batch's sessions die with the batch
+    # or session, and the sessions of the run's crypto die with it
     config = dataclasses.replace(
         small_scenario(duration=6.0),
         workload=WorkloadSettings(rate_per_s=200.0, payload_bytes=224 * 224 * 3),
@@ -737,7 +737,7 @@ def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
     runner = VirtualRunner(config)
     runner._build_cluster(tmp_path)
     runner._schedule()
-    flight = {"now": 0, "jobs_peak": 0}
+    flight = {"now": 0}
     for server in runner._servers.values():
         def submit(req, submit=server.submit):
             flight["now"] += 1
@@ -751,17 +751,18 @@ def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
         complete(req)
         completed.add(req.index)
         flight["now"] -= 1
-        flight["jobs_peak"] = max(flight["jobs_peak"], len(runner._jobs))
 
     runner.complete_request = complete_request
     runner.loop.run(until=3.0)
 
     alive = [obj for obj in gc.get_objects() if isinstance(obj, _Request)]
-    assert len(completed) > 2 * CRYPTO_BATCH and 0 < len(alive) == flight["now"]
+    assert len(completed) > FORK_MIN_JOBS and 0 < len(alive) == flight["now"]
     assert not any(req.index in completed for req in alive)
     assert not any(isinstance(obj, Session) for obj in gc.get_objects())
-    assert len(runner._jobs) == len(completed) % CRYPTO_BATCH
-    assert flight["jobs_peak"] == CRYPTO_BATCH - 1
+    # one job per completed request, (index, send_ts, seed, service_time)
+    assert sorted(job[0] for job in runner._jobs) == sorted(completed)
+    assert {len(job) for job in runner._jobs} == {4}
+    assert {type(value) for job in runner._jobs for value in job} == {int, float}
 
     runner.loop.run()
     runner._drain()
@@ -771,20 +772,24 @@ def test_completed_virtual_requests_release_buffers_and_sessions(tmp_path):
     assert len(runner.recorder.records()) == runner.recorder.sent
 
 
-def _batched_scenario(**changes):
-    # sgx_aware under paging: 1600 requests, so several crypto batches
+def _crypto_scenario(**changes):
+    # sgx_aware under paging: 1600 requests, far more than FORK_MIN_JOBS
     config = small_scenario(algorithm="sgx_aware", interference="high", rate=200.0)
     return dataclasses.replace(config, **changes)
 
 
 def _job_order(runner):
-    """Request indices in the order they became crypto jobs: batch k is
-    positions k * CRYPTO_BATCH onwards."""
+    """Request indices in the order they became crypto jobs."""
     return [record.index for record in runner.recorder._records if record.endpoint]
 
 
+def _worker_half(order):
+    """The positions in `order` whose jobs the worker runs."""
+    return range(1 + (len(order) - 1) // 2, len(order))
+
+
 def _run_crypto(monkeypatch, tmp_path, config, *, fork, in_worker=None):
-    """Run `config` with `os.fork` counted, or removed so that every batch
+    """Run `config` with `os.fork` counted, or removed so that every job
     runs here; `in_worker(index)` is called for each job the worker runs.
     Returns the run's outputs, its fork count and its runner."""
     parent, payload, real_fork = os.getpid(), runner_module.request_payload, os.fork
@@ -822,12 +827,12 @@ def _run_crypto(monkeypatch, tmp_path, config, *, fork, in_worker=None):
 
 
 def test_crypto_batches_give_the_same_outputs_in_either_process(monkeypatch, tmp_path):
-    config = _batched_scenario(capture_traffic=True)
+    config = _crypto_scenario(capture_traffic=True)
     here, _, runner = _run_crypto(monkeypatch, tmp_path, config, fork=False)
     served = runner.handshakes_full + runner.handshakes_resumed
-    assert served > 4 * CRYPTO_BATCH
+    assert served > 4 * FORK_MIN_JOBS
     assert here[2] == 1 and here[3] == served - 1
-    batches = []
+    halves = []
     for repeat in range(2):
         log = tmp_path / f"worker-{repeat}.log"
 
@@ -840,40 +845,66 @@ def test_crypto_batches_give_the_same_outputs_in_either_process(monkeypatch, tmp
         )
         assert outputs == here
         assert forks == 1
-        position = {index: k for k, index in enumerate(_job_order(runner))}
-        ran = [position[int(line)] for line in log.read_text().split()]
-        assert len(set(ran)) == len(ran)  # each job once
-        batches.append({k // CRYPTO_BATCH for k in ran})
-        assert len(ran) == CRYPTO_BATCH * len(batches[-1])  # whole batches
-    # the odd full batches, whatever the machine's speed
-    assert batches[0] == batches[1] == set(range(1, served // CRYPTO_BATCH, 2))
+        order = _job_order(runner)
+        position = {index: k for k, index in enumerate(order)}
+        halves.append([position[int(line)] for line in log.read_text().split()])
+    # the second half of the jobs after the first, each once, whatever the
+    # machine's speed
+    assert halves[0] == halves[1] == list(_worker_half(order))
 
 
 class _Injected(Exception):
     pass
 
 
+def test_the_one_fork_comes_after_the_last_event(monkeypatch):
+    real_fork = os.fork
+    runner = VirtualRunner(_crypto_scenario())
+    at_fork = []
+
+    def watching_fork():
+        at_fork.append((len(runner.loop._heap), runner.recorder.sent, len(runner.arrivals)))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", watching_fork)
+    runner.run()
+    [(queued, sent, arrivals)] = at_fork
+    assert queued == 0 and sent == arrivals > FORK_MIN_JOBS
+
+    # a run stopped at its arrivals, as the benchmark's set-up probe stops
+    # it, forks nothing
+    def stop(config):
+        raise _Injected
+
+    monkeypatch.setattr(runner_module, "generate_arrivals", stop)
+    with pytest.raises(ScenarioFailed):
+        VirtualRunner(_crypto_scenario()).run()
+    assert len(at_fork) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("fails_in", ["helper", "parent"])
 def test_failed_crypto_job_fails_the_run_and_leaves_no_helper(monkeypatch, tmp_path, fails_in):
-    config = _batched_scenario()
+    config = _crypto_scenario()
     runner = VirtualRunner(config)
     runner.run()
     order = _job_order(runner)
+    theirs = _worker_half(order)
     parent = os.getpid()
     marker = tmp_path / "worker-met-the-failure"
     payload = runner_module.request_payload
 
     def failing_payload(config, index):
         in_worker = os.getpid() != parent
-        # batch 1 is the worker's first; batch 2 runs here while it holds batch 1
-        if fails_in == "helper" and index == order[CRYPTO_BATCH + CRYPTO_BATCH // 2]:
+        if fails_in == "helper" and index == order[theirs[len(theirs) // 2]]:
             if in_worker:
                 marker.touch()
             raise _Injected(index)
         if fails_in == "parent":
-            if in_worker and index == order[CRYPTO_BATCH]:
+            if in_worker and index == order[theirs[0]]:
                 time.sleep(60)  # the worker is still busy when the run fails
-            elif not in_worker and index == order[2 * CRYPTO_BATCH + CRYPTO_BATCH // 2]:
+            elif not in_worker and index == order[theirs[0] // 2]:
                 raise _Injected(index)
         return payload(config, index)
 
@@ -888,9 +919,11 @@ def test_failed_crypto_job_fails_the_run_and_leaves_no_helper(monkeypatch, tmp_p
 
 
 def test_killed_worker_leaves_its_batches_to_the_runner(monkeypatch, tmp_path):
-    config = _batched_scenario(capture_traffic=True)
+    config = _crypto_scenario(capture_traffic=True)
     here, _, runner = _run_crypto(monkeypatch, tmp_path, config, fork=False)
-    doomed = _job_order(runner)[CRYPTO_BATCH + CRYPTO_BATCH // 2]  # in the worker's first batch
+    order = _job_order(runner)
+    theirs = _worker_half(order)
+    doomed = order[theirs[len(theirs) // 2]]  # halfway through the worker's jobs
     killed = tmp_path / "killed"
 
     def die(index):
@@ -904,9 +937,9 @@ def test_killed_worker_leaves_its_batches_to_the_runner(monkeypatch, tmp_path):
 
 
 def test_worker_results_larger_than_the_socket_buffer_arrive_whole(monkeypatch, tmp_path):
-    # 16 KiB requests: one batch's captured frames are about 1 MiB, beyond
-    # what a socket pair buffers (about 200 KiB on Linux), so the worker
-    # blocks writing until the runner reads
+    # 16 KiB requests: the worker's half of the captured frames is about
+    # 13 MiB, far beyond what a socket pair buffers (about 200 KiB on
+    # Linux), so the worker blocks writing until the runner reads
     config = dataclasses.replace(
         small_scenario(duration=4.0, rate=200.0),
         capture_traffic=True,
@@ -914,7 +947,7 @@ def test_worker_results_larger_than_the_socket_buffer_arrive_whole(monkeypatch, 
     )
     here, _, _ = _run_crypto(monkeypatch, tmp_path, config, fork=False)
     outputs, forks, runner = _run_crypto(monkeypatch, tmp_path, config, fork=True)
-    assert forks == 1 and len(_job_order(runner)) >= 3 * CRYPTO_BATCH
+    assert forks == 1 and len(_job_order(runner)) >= 10 * FORK_MIN_JOBS
     assert outputs == here
 
 
@@ -936,8 +969,8 @@ def test_replica_with_another_certificate_fails_the_virtual_run(monkeypatch):
 
 def test_taint_recorded_in_a_helper_reaches_the_runner(monkeypatch):
     # confinement is checked in the runner's process, so a disallowed reveal
-    # inside a worker's batch has to be recorded there too
-    config = _batched_scenario()
+    # inside the worker's jobs has to be recorded there too
+    config = _crypto_scenario()
     parent = os.getpid()
     secret = ConfinedSecret(b"enclave-only")
     payload = runner_module.request_payload
@@ -948,14 +981,14 @@ def test_taint_recorded_in_a_helper_reaches_the_runner(monkeypatch):
         return payload(config, index)
 
     monkeypatch.setattr(runner_module, "request_payload", revealing_payload)
-    report = VirtualRunner(config).run()
+    runner = VirtualRunner(config)
+    runner.run()
     leaked = taint_events()
     reset_taint()  # leave the autouse guard clean
     indices = [int(purpose.removeprefix("debug-dump-")) for purpose in leaked]
-    # whole batches, each job once, and only requests that were served
-    assert len(indices) >= CRYPTO_BATCH and len(indices) % CRYPTO_BATCH == 0
-    assert len(set(indices)) == len(indices)
-    assert set(indices) <= {record.index for record in report.records if record.endpoint}
+    # exactly the worker's half, each job once
+    order = _job_order(runner)
+    assert indices == [order[k] for k in _worker_half(order)]
 
 
 def test_virtual_request_that_ends_after_its_timeout_is_recorded_timed_out(monkeypatch):

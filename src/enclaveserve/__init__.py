@@ -9,5 +9,3 @@ serving     model-server replicas and the weighted frontend scheduler
 control     telemetry, SLO controller, autoscaler, reconciler, profiler
 harness     workload generation, scenario runner, latency reports, CLI
 """
-
-__version__ = "0.1.0"

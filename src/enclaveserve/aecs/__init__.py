@@ -1,53 +1,1 @@
-from .errors import (
-    AecsError,
-    AttestationMismatch,
-    BindingMismatch,
-    BootstrapTimeout,
-    NotServing,
-    ObjectExists,
-    ObjectMissing,
-    ServiceExists,
-    StoreConflictExhausted,
-    StoreError,
-    UnknownService,
-    VersionConflict,
-)
-from .keymap import KeyMap, KeyMapEntry, decrypt_keymap, encrypt_keymap
-from .service import (
-    AecsDeployment,
-    AecsReplica,
-    KEYMAP_OBJECT,
-    LEADER_OBJECT,
-    decode_pki,
-)
-from .store import DirectoryStore, MemoryStore, UntrustedStore
-from .wire import AecsClient, ProvisionRequest
-
-__all__ = [
-    "AecsClient",
-    "AecsDeployment",
-    "AecsError",
-    "AecsReplica",
-    "AttestationMismatch",
-    "BindingMismatch",
-    "BootstrapTimeout",
-    "DirectoryStore",
-    "KEYMAP_OBJECT",
-    "KeyMap",
-    "KeyMapEntry",
-    "LEADER_OBJECT",
-    "MemoryStore",
-    "NotServing",
-    "ObjectExists",
-    "ObjectMissing",
-    "ProvisionRequest",
-    "ServiceExists",
-    "StoreConflictExhausted",
-    "StoreError",
-    "UnknownService",
-    "UntrustedStore",
-    "VersionConflict",
-    "decode_pki",
-    "decrypt_keymap",
-    "encrypt_keymap",
-]
+"""Attestation-gated PKI generation, storage, and distribution."""

@@ -21,15 +21,11 @@ class HandshakeTimeout(SecureChannelError):
     pass
 
 
-class RecordError(SecureChannelError):
-    pass
-
-
-class RecordTampered(RecordError):
+class RecordTampered(SecureChannelError):
     """Record failed authentication or broke the sequence contract."""
 
 
-class ReplayDetected(RecordError):
+class ReplayDetected(SecureChannelError):
     """Record carries a sequence number that was already consumed."""
 
 

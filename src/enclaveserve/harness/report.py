@@ -9,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..control.telemetry import EPC_CSV_HEADER, SERVICE_CSV_HEADER
-from .errors import EmptySamples, IoFailure
+from .errors import IoFailure
 from .metrics import RunReport, percentile
 
 LATENCIES_HEADER = "send_ts,complete_ts,endpoint,latency,status"
@@ -38,13 +38,14 @@ def render_service(report: RunReport) -> str:
     return "\n".join([SERVICE_CSV_HEADER] + report.service_rows) + "\n"
 
 
+def _tail_lines(latencies: list[float]) -> list[str]:
+    """The summary's p90_s, p95_s and p99_s lines; `nan` without samples."""
+    return [
+        f"p{p}_s={repr(percentile(latencies, p)) if latencies else 'nan'}" for p in (90, 95, 99)
+    ]
+
+
 def render_summary(report: RunReport) -> str:
-    try:
-        p90 = repr(report.percentile(90))
-        p95 = repr(report.percentile(95))
-        p99 = repr(report.percentile(99))
-    except EmptySamples:
-        p90 = p95 = p99 = "nan"
     lines = [
         f"scenario={report.scenario}",
         f"seed={report.seed}",
@@ -57,9 +58,7 @@ def render_summary(report: RunReport) -> str:
         f"rejected={report.rejected}",
         f"in_flight_at_cutoff={report.in_flight_at_cutoff}",
         f"throughput_rps={report.throughput_rps!r}",
-        f"p90_s={p90}",
-        f"p95_s={p95}",
-        f"p99_s={p99}",
+        *_tail_lines(report.latencies()),
         f"slo_s={report.slo_s!r}",
         f"slo_met={'true' if report.records and report.slo_met else 'false'}",
         f"weight_changes={len(report.weight_events)}",
@@ -116,8 +115,6 @@ def summarize_dir(out_dir: Path | str) -> str:
     lines = [
         f"records={len(rows)}",
         f"completed={completed}",
-        f"p90_s={repr(percentile(latencies, 90)) if latencies else 'nan'}",
-        f"p95_s={repr(percentile(latencies, 95)) if latencies else 'nan'}",
-        f"p99_s={repr(percentile(latencies, 99)) if latencies else 'nan'}",
+        *_tail_lines(latencies),
     ]
     return "\n".join(lines) + "\n"

@@ -57,8 +57,6 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from ..channel.record import RECORD_OVERHEAD
 from ..channel.transport import MAX_FRAME
 from ..control.autoscale import AutoscaleSettings
@@ -323,6 +321,8 @@ def from_dict(raw: dict) -> ScenarioConfig:
 
 
 def load_scenario(path: Path | str) -> ScenarioConfig:
+    import yaml  # only a scenario file needs the parser, not a config built in code
+
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:

@@ -1,60 +1,1 @@
-from .attest import EnclaveReport, PlatformRegistry, make_report, verify_report
-from .errors import (
-    AttestationError,
-    DuplicateEnclave,
-    EnclaveNotRunning,
-    MeasurementMismatch,
-    PlatformTagInvalid,
-    SubstrateError,
-    UnknownPlatform,
-    UnsealFailure,
-)
-from .node import (
-    DEFAULT_EPC_USABLE_BYTES,
-    MIB,
-    EnclaveHandle,
-    EnclaveObservation,
-    EnclaveSpec,
-    EpcSample,
-    Node,
-    NodeSpec,
-    Substrate,
-)
-from .paging import (
-    DEFAULT_T_REF_PAGES_PER_S,
-    PAGE_BYTES,
-    inflate_latency,
-    overflow_throughput,
-)
-from .sealing import SealedBlob, seal_bytes, unseal_bytes
-
-__all__ = [
-    "AttestationError",
-    "DEFAULT_EPC_USABLE_BYTES",
-    "DEFAULT_T_REF_PAGES_PER_S",
-    "DuplicateEnclave",
-    "EnclaveHandle",
-    "EnclaveNotRunning",
-    "EnclaveObservation",
-    "EnclaveReport",
-    "EnclaveSpec",
-    "EpcSample",
-    "MIB",
-    "MeasurementMismatch",
-    "Node",
-    "NodeSpec",
-    "PAGE_BYTES",
-    "PlatformRegistry",
-    "PlatformTagInvalid",
-    "SealedBlob",
-    "Substrate",
-    "SubstrateError",
-    "UnknownPlatform",
-    "UnsealFailure",
-    "inflate_latency",
-    "make_report",
-    "overflow_throughput",
-    "seal_bytes",
-    "unseal_bytes",
-    "verify_report",
-]
+"""Simulated SGX platform: enclaves, EPC paging, sealing, attestation."""

@@ -14,30 +14,23 @@ import time
 import pytest
 
 from enclaveserve import crypto
-from enclaveserve.aecs import AecsDeployment, AecsReplica, MemoryStore
-from enclaveserve.aecs.service import AECS_MEASUREMENT
-from enclaveserve.channel import RecordTampered, ReplayDetected, handshake_in_process, seal_record, open_record
+from enclaveserve.aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
+from enclaveserve.aecs.store import MemoryStore
+from enclaveserve.channel.errors import RecordTampered, ReplayDetected
+from enclaveserve.channel.handshake import handshake_in_process
+from enclaveserve.channel.record import open_record, seal_record
 from enclaveserve.clock import EventLoop, RealClock
 from enclaveserve.confine import taint_events
-from enclaveserve.control import NodeObservation, SloController, SloSettings, profile_boundary
-from enclaveserve.control.profiler import DEFAULT_SWEEP_MIB
-from enclaveserve.harness import (
-    build_lb_scenario,
-    build_scaling_scenario,
-    emit_report,
-    run_scenario,
-)
-from enclaveserve.harness.runner import VirtualRunner
+from enclaveserve.control.profiler import DEFAULT_SWEEP_MIB, profile_boundary
+from enclaveserve.control.slo import NodeObservation, SloController, SloSettings
+from enclaveserve.harness.report import emit_report
+from enclaveserve.harness.runner import VirtualRunner, run_scenario
+from enclaveserve.harness.scenario import build_lb_scenario, build_scaling_scenario
 from enclaveserve.profiles import PRESETS
-from enclaveserve.serving import Endpoint, VirtualService
-from enclaveserve.substrate import (
-    AttestationError,
-    EnclaveSpec,
-    Substrate,
-    verify_report,
-)
-from enclaveserve.substrate.attest import EnclaveReport
-from enclaveserve.substrate.node import MIB
+from enclaveserve.serving.frontend import Endpoint, VirtualService
+from enclaveserve.substrate.attest import EnclaveReport, verify_report
+from enclaveserve.substrate.errors import AttestationError
+from enclaveserve.substrate.node import MIB, EnclaveSpec, Substrate
 
 from .conftest import make_node_spec
 
@@ -326,7 +319,7 @@ def test_criterion_7_security_invariants(tmp_path):
         assert all(needle not in blob for blob in haystacks)
 
     # (c) tampered records: every single-byte corruption rejected
-    from enclaveserve.channel import generate_pki
+    from enclaveserve.channel.certs import generate_pki
 
     pki = generate_pki("svc", random.Random(5))
     client, server = handshake_in_process(pki.certificate, pki, random.Random(6), random.Random(7))

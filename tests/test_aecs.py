@@ -6,30 +6,30 @@ import threading
 import pytest
 
 from enclaveserve import crypto
-from enclaveserve.aecs import (
-    AecsDeployment,
-    AecsReplica,
+from enclaveserve.aecs import wire
+from enclaveserve.aecs.errors import (
     AttestationMismatch,
     BindingMismatch,
     BootstrapTimeout,
-    DirectoryStore,
-    KeyMap,
-    KEYMAP_OBJECT,
-    LEADER_OBJECT,
-    MemoryStore,
     ObjectExists,
     ObjectMissing,
-    ProvisionRequest,
     ServiceExists,
     StoreConflictExhausted,
     StoreError,
     UnknownService,
     VersionConflict,
-    decode_pki,
-    decrypt_keymap,
 )
-from enclaveserve.aecs.service import AECS_MEASUREMENT
-from enclaveserve.aecs import wire
+from enclaveserve.aecs.keymap import KeyMap, decrypt_keymap
+from enclaveserve.aecs.service import (
+    AECS_MEASUREMENT,
+    KEYMAP_OBJECT,
+    LEADER_OBJECT,
+    AecsDeployment,
+    AecsReplica,
+    decode_pki,
+)
+from enclaveserve.aecs.store import DirectoryStore, MemoryStore
+from enclaveserve.aecs.wire import ProvisionRequest
 from enclaveserve.clock import EventLoop, RealClock
 from enclaveserve.confine import ConfinedSecret
 from enclaveserve.substrate.node import EnclaveSpec, MIB
@@ -161,7 +161,7 @@ def test_directory_store_object_file_shorter_than_its_header_is_a_store_error(tm
 
 def test_keymap_cipher_roundtrip():
     from enclaveserve.aecs.keymap import KeyMapEntry, encrypt_keymap
-    from enclaveserve.channel import generate_pki
+    from enclaveserve.channel.certs import generate_pki
 
     keymap = KeyMap(version=3)
     keymap.entries["svc"] = KeyMapEntry(MODEL_MEASUREMENT, generate_pki("svc", random.Random(5)))

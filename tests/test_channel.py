@@ -11,30 +11,29 @@ from hypothesis import strategies as st
 
 from enclaveserve import crypto
 from enclaveserve.channel import handshake
-from enclaveserve.confine import reset_taint, taint_events
-from enclaveserve.channel import (
-    Certificate,
+from enclaveserve.channel.certs import Certificate, generate_pki
+from enclaveserve.channel.errors import (
     CertificateMismatch,
-    ClientHandshake,
     HandshakeFailure,
     HandshakeTimeout,
     RecordTampered,
     ReplayDetected,
     SecureChannelError,
-    ServerHandshake,
     SignatureInvalid,
+    TransportClosed,
+)
+from enclaveserve.channel.handshake import (
+    ClientHandshake,
+    ServerHandshake,
     Ticket,
     TicketCache,
-    TransportClosed,
     client_handshake,
-    generate_pki,
     handshake_in_process,
-    open_record,
-    seal_record,
     server_handshake,
 )
-from enclaveserve.channel.record import RECORD_OVERHEAD
+from enclaveserve.channel.record import RECORD_OVERHEAD, open_record, seal_record
 from enclaveserve.channel.transport import SocketTransport, WiretapTransport, encode_frame
+from enclaveserve.confine import reset_taint, taint_events
 
 
 def fresh_pki(seed=1, subject="svc"):

@@ -19,7 +19,8 @@ from enclaveserve.aecs.keymap import KeyMap, KeyMapEntry, encode_pki
 from enclaveserve.channel.certs import Certificate, generate_pki
 from enclaveserve.channel.errors import HandshakeFailure
 from enclaveserve.codec import Reader, prefixed
-from enclaveserve.serving import ProvisioningFailed, start_replica
+from enclaveserve.serving.errors import ProvisioningFailed
+from enclaveserve.serving.replica import start_replica
 from enclaveserve.substrate.attest import EnclaveReport
 from enclaveserve.substrate.errors import UnsealFailure
 from enclaveserve.substrate.node import MIB, EnclaveSpec

@@ -7,27 +7,20 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from enclaveserve.control import (
-    Autoscaler,
-    AutoscaleSettings,
-    EpcSample,
+from enclaveserve.control.autoscale import Autoscaler, AutoscaleSettings, autoscale_step
+from enclaveserve.control.errors import (
     InsufficientSamples,
-    NodeObservation,
+    NodeUnreachable,
     PlacementFailure,
-    Reconciler,
-    SloController,
-    SloSettings,
     SloUnattainable,
-    autoscale_step,
-    collect,
-    paging_throughput,
-    profile_boundary,
 )
-from enclaveserve.control.errors import NodeUnreachable
-from enclaveserve.control.reconcile import DRAIN_TIMEOUT_S
+from enclaveserve.control.profiler import profile_boundary
+from enclaveserve.control.reconcile import DRAIN_TIMEOUT_S, Reconciler
+from enclaveserve.control.slo import NodeObservation, SloController, SloSettings
+from enclaveserve.control.telemetry import collect, paging_throughput
 from enclaveserve.profiles import PRESETS, ModelProfile
-from enclaveserve.serving import Endpoint, VirtualService
-from enclaveserve.substrate.node import EnclaveSpec, MIB
+from enclaveserve.serving.frontend import Endpoint, VirtualService
+from enclaveserve.substrate.node import MIB, EnclaveSpec, EpcSample
 from enclaveserve.substrate.paging import overflow_throughput
 
 from .conftest import make_node_spec

@@ -9,18 +9,17 @@ from types import SimpleNamespace
 import pytest
 
 from enclaveserve import crypto
-from enclaveserve.aecs import AecsDeployment, AecsReplica, MemoryStore
-from enclaveserve.aecs.service import AECS_MEASUREMENT
-from enclaveserve.channel import TransportClosed, client_handshake, open_record, seal_record
+from enclaveserve.aecs.service import AECS_MEASUREMENT, AecsDeployment, AecsReplica
+from enclaveserve.aecs.store import MemoryStore
+from enclaveserve.channel.errors import TransportClosed
+from enclaveserve.channel.handshake import client_handshake
+from enclaveserve.channel.record import open_record, seal_record
 from enclaveserve.channel.transport import SocketTransport
 from enclaveserve.harness.runner_real import _ReplicaListener
 from enclaveserve.profiles import PRESETS
-from enclaveserve.serving import (
-    Endpoint,
-    NoEligibleEndpoint,
-    ProvisioningFailed,
-    UnknownEndpoint,
-    VirtualService,
+from enclaveserve.serving.errors import NoEligibleEndpoint, ProvisioningFailed, UnknownEndpoint
+from enclaveserve.serving.frontend import Endpoint, VirtualService
+from enclaveserve.serving.replica import (
     crash_replica,
     decode_inference_response,
     replica_cpu_utilization,
@@ -126,7 +125,7 @@ def test_failover_same_expected_certificate(stack):
     a = start(client, nodes[0], "ra")
     b = start(client, nodes[1], "rb")
     expected = client.get_certificate("svc")
-    from enclaveserve.channel import handshake_in_process
+    from enclaveserve.channel.handshake import handshake_in_process
 
     for replica in (a, b):
         c_sess, s_sess = handshake_in_process(

@@ -6,23 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enclaveserve.substrate import (
+from enclaveserve.substrate.attest import EnclaveReport, verify_report
+from enclaveserve.substrate.errors import (
     DuplicateEnclave,
     EnclaveNotRunning,
-    EnclaveSpec,
     MeasurementMismatch,
-    NodeSpec,
-    PAGE_BYTES,
     PlatformTagInvalid,
-    SealedBlob,
     UnknownPlatform,
     UnsealFailure,
-    inflate_latency,
-    overflow_throughput,
-    verify_report,
 )
-from enclaveserve.substrate.attest import EnclaveReport
-from enclaveserve.substrate.node import DEFAULT_EPC_USABLE_BYTES, MIB
+from enclaveserve.substrate.node import DEFAULT_EPC_USABLE_BYTES, MIB, EnclaveSpec, NodeSpec
+from enclaveserve.substrate.paging import PAGE_BYTES, inflate_latency, overflow_throughput
+from enclaveserve.substrate.sealing import SealedBlob
 
 from .conftest import make_node_spec
 
